@@ -15,10 +15,11 @@
 #include "baselines/brute.hpp"
 #include "baselines/casoffinder.hpp"
 #include "baselines/casot.hpp"
+#include "core/chunked_scan.hpp"
+#include "core/engine_registry.hpp"
 #include "fpga/fabric.hpp"
 #include "gpu/infant2.hpp"
 #include "hscan/multipattern.hpp"
-#include "hscan/parallel.hpp"
 #include "hscan/prefilter.hpp"
 
 using namespace crispr;
@@ -182,21 +183,21 @@ BM_HscanPrefilter(benchmark::State &state)
 BENCHMARK(BM_HscanPrefilter)->Arg(1)->Arg(3)->Arg(5);
 
 void
-BM_ParallelScan(benchmark::State &state)
+BM_ChunkedScan(benchmark::State &state)
 {
-    const unsigned threads = static_cast<unsigned>(state.range(0));
-    hscan::Database db = hscan::Database::compile(
-        patterns(3).specsForStream(false));
-    hscan::ParallelOptions opts;
-    opts.threads = threads;
+    const core::Engine &engine = core::EngineRegistry::instance().engine(
+        core::EngineKind::HscanBitParallel);
+    auto compiled = std::make_shared<const core::CompiledPattern>(
+        engine.compile(patterns(3), bench::defaultParams()));
+    core::ChunkedScanOptions opts;
+    opts.threads = static_cast<unsigned>(state.range(0));
     opts.chunkSize = 128 << 10;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            hscan::parallelScan(db, fixedWorkload().genome, opts));
-    }
+    const core::ChunkedScanner scanner(engine, compiled, opts);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(scanner.scan(fixedWorkload().genome));
     reportBytes(state);
 }
-BENCHMARK(BM_ParallelScan)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_ChunkedScan)->Arg(1)->Arg(2)->Arg(4);
 
 void
 BM_DatabaseCompile(benchmark::State &state)

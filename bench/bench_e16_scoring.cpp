@@ -3,7 +3,10 @@
  * E16 — in-scan scoring overhead and ranked-report throughput. Three
  * questions, one workload:
  *  1. What does in-scan position-weighted scoring cost? (scored scan
- *     throughput vs the boolean baseline; bar: >= 0.8x)
+ *     throughput vs the boolean baseline; bar: >= 0.8x). Both sides
+ *     time the same engine scan plus hitsFromEvents(), with and
+ *     without `with_scores` — searches always score, so the boolean
+ *     baseline exists only at that level.
  *  2. Is the integrated ranked path (scored scan + topK) faster than
  *     the naive pipeline — boolean scan, then post-hoc re-walking
  *     every hit through hitMismatchPositions()/sitePenalty(), then
@@ -44,18 +47,16 @@ now()
 /** The naive pipeline's rescoring step: re-walk every hit through the
  *  post-hoc primitives and rank the scored copies. */
 std::vector<core::OffTargetHit>
-postHocRank(const genome::Sequence &genome,
-            const core::SearchResult &result, size_t top_k)
+postHocRank(const genome::Sequence &genome, const core::PatternSet &set,
+            std::vector<core::OffTargetHit> hits, size_t top_k)
 {
-    std::vector<core::OffTargetHit> scored = result.hits;
-    for (core::OffTargetHit &hit : scored) {
+    for (core::OffTargetHit &hit : hits) {
         const std::vector<size_t> positions =
-            core::hitMismatchPositions(genome, result.patterns, hit);
+            core::hitMismatchPositions(genome, set, hit);
         hit.mismatchMask = core::mismatchPositionsToMask(positions);
-        hit.penalty = core::sitePenalty(
-            positions, result.patterns.guideLength);
+        hit.penalty = core::sitePenalty(positions, set.guideLength);
     }
-    return core::rankHits(scored, 0.0, top_k);
+    return core::rankHits(hits, 0.0, top_k);
 }
 
 } // namespace
@@ -165,50 +166,56 @@ main(int argc, char **argv)
     config.engine = engine->kind();
     config.maxMismatches = d;
     config.params = bench::defaultParams();
-    core::SearchSession session(w.guides, config);
-
-    core::SearchConfig boolean_cfg = config;
-    boolean_cfg.inScanScores = false;
-    core::SearchConfig scored_cfg = config; // inScanScores defaults on
     core::SearchConfig ranked_cfg = config;
     ranked_cfg.topK = top_k;
+    core::SearchSession session(w.guides, ranked_cfg);
 
-    // Compile outside every timer: all three configs share one
-    // compilation (ranked knobs are runtime options). All four
-    // pipelines are measured interleaved within each rep so machine
-    // drift hits every side alike; the row value is the per-pipeline
-    // median.
-    core::SearchResult boolean_result = session.search(w.genome,
-                                                       boolean_cfg);
-    core::SearchResult scored_result;
-    core::SearchResult ranked_result;
-    std::vector<core::OffTargetHit> posthoc_ranked;
+    // Compile outside every timer: one compilation for the direct
+    // scans, one (warmed below) in the session. A direct scan is the
+    // engine pass plus hit verification, scored or boolean.
+    const core::CompiledPattern compiled = engine->compile(
+        core::buildPatternSet(w.guides, config.pam, d, config.bothStrands,
+                              engine->requiredOrientation()),
+        config.params);
+    const bool tolerant = engine->kind() == core::EngineKind::ApCounter;
+    auto verifiedScan = [&](bool with_scores) {
+        const core::EngineRun run =
+            engine->scan(compiled, core::SequenceView(w.genome));
+        return core::hitsFromEvents(w.genome, *compiled.set, run.events,
+                                    tolerant, nullptr, with_scores);
+    };
+
+    // All four pipelines are measured interleaved within each rep so
+    // machine drift hits every side alike; the row value is the
+    // per-pipeline median.
+    core::SearchResult ranked_result = session.search(w.genome);
+    std::vector<core::OffTargetHit> boolean_hits, scored_hits,
+        posthoc_ranked;
     std::vector<double> boolean_times, scored_times, ranked_times,
         posthoc_times;
     for (int rep = 0; rep < reps; ++rep) {
         double start = now();
-        boolean_result = session.search(w.genome, boolean_cfg);
+        boolean_hits = verifiedScan(/*with_scores=*/false);
         boolean_times.push_back(now() - start);
 
         start = now();
-        scored_result = session.search(w.genome, scored_cfg);
+        scored_hits = verifiedScan(/*with_scores=*/true);
         scored_times.push_back(now() - start);
 
         start = now();
-        ranked_result = session.search(w.genome, ranked_cfg);
+        ranked_result = session.search(w.genome);
         ranked_times.push_back(now() - start);
 
         // The naive pipeline: full boolean scan, then re-walk every
         // hit through the post-hoc primitives, then rank.
         start = now();
-        const core::SearchResult base =
-            session.search(w.genome, boolean_cfg);
-        posthoc_ranked = postHocRank(w.genome, base, top_k);
+        posthoc_ranked = postHocRank(w.genome, *compiled.set,
+                                     verifiedScan(false), top_k);
         posthoc_times.push_back(now() - start);
     }
-    if (scored_result.hits.size() != boolean_result.hits.size())
+    if (scored_hits.size() != boolean_hits.size())
         fatal("scored scan changed the hit count (%zu vs %zu)",
-              scored_result.hits.size(), boolean_result.hits.size());
+              scored_hits.size(), boolean_hits.size());
     const auto median = [](std::vector<double> &times) {
         std::sort(times.begin(), times.end());
         return times[times.size() / 2];
@@ -232,13 +239,13 @@ main(int argc, char **argv)
         .add("boolean scan")
         .add(boolean_s, 3)
         .add(boolean_mbps, 1)
-        .add(static_cast<uint64_t>(boolean_result.hits.size()))
+        .add(static_cast<uint64_t>(boolean_hits.size()))
         .add("-");
     table.row()
         .add("scored scan")
         .add(scored_s, 3)
         .add(scored_mbps, 1)
-        .add(static_cast<uint64_t>(scored_result.hits.size()))
+        .add(static_cast<uint64_t>(scored_hits.size()))
         .add("-");
     table.row()
         .add("scored + top-K")
@@ -250,7 +257,7 @@ main(int argc, char **argv)
         .add("boolean + post-hoc")
         .add(posthoc_s, 3)
         .add(genome_mb_f / posthoc_s, 1)
-        .add(static_cast<uint64_t>(boolean_result.hits.size()))
+        .add(static_cast<uint64_t>(boolean_hits.size()))
         .add(static_cast<uint64_t>(posthoc_ranked.size()));
     std::printf("%s", table.str().c_str());
 
@@ -268,7 +275,7 @@ main(int argc, char **argv)
              << engine->name() << "\", \"genome_bytes\": "
              << w.genome.size() << ", \"guides\": " << num_guides
              << ", \"d\": " << d << ", \"top_k\": " << top_k
-             << ", \"hits\": " << boolean_result.hits.size()
+             << ", \"hits\": " << boolean_hits.size()
              << ", \"boolean_mbps\": " << boolean_mbps
              << ", \"scored_mbps\": " << scored_mbps
              << ", \"scored_vs_boolean\": " << scored_ratio

@@ -11,8 +11,8 @@
 #include <fstream>
 #include <iostream>
 
+#include "ap/anml.hpp"
 #include "ap/machine.hpp"
-#include "automata/anml.hpp"
 #include "automata/dot.hpp"
 #include "automata/builders.hpp"
 #include "automata/dfa.hpp"
@@ -126,7 +126,7 @@ main(int argc, char **argv)
                 std::ofstream out(path);
                 if (!out)
                     fatal("cannot write '%s'", path.c_str());
-                automata::writeAnml(out, nfa, name);
+                ap::writeMachineAnml(out, ap::fromNfa(nfa), name);
                 std::cout << "wrote " << path << '\n';
             };
             dump("matrix_fwd", fwd);

@@ -43,7 +43,8 @@ engineByName(const std::string &name)
     if (engine)
         return engine->kind();
     std::string known = "auto";
-    for (core::EngineKind kind : core::allEngines()) {
+    for (core::EngineKind kind :
+         core::EngineRegistry::instance().kinds()) {
         if (!known.empty())
             known += ", ";
         known += core::engineName(kind);

@@ -94,7 +94,8 @@ main(int argc, char **argv)
     core::SearchSession session(guides, {},
                                 /*cache_capacity=*/16);
 
-    for (core::EngineKind kind : core::allEngines()) {
+    for (core::EngineKind kind :
+         core::EngineRegistry::instance().kinds()) {
         if (cli.getBool("skip-slow") &&
             kind == core::EngineKind::Brute)
             continue;
@@ -258,8 +259,8 @@ main(int argc, char **argv)
         num_requests > 0) {
         core::SearchService service{core::ServiceOptions{}};
         core::RequestOptions request;
-        request.genome =
-            service.store().put("explorer", std::move(genome_seq));
+        request.genome = service.store().put(
+            core::GenomeRef::memory("explorer"), std::move(genome_seq));
         request.config.compile().maxMismatches =
             static_cast<int>(cli.getInt("d"));
 

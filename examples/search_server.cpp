@@ -147,7 +147,8 @@ main(int argc, char **argv)
             service.store().load(core::GenomeRef::packed(path));
     } else if (const std::string &path = cli.getString("fasta");
                !path.empty()) {
-        reference = service.store().loadFile(path);
+        reference =
+            service.store().load(core::GenomeRef::fasta(path));
     } else {
         genome::GenomeSpec spec;
         spec.length = 4 << 20;
@@ -156,7 +157,8 @@ main(int argc, char **argv)
         genome::Sequence demo = genome::generateGenome(spec);
         if (cli.getString("requests").empty())
             requests = demoRequests(demo, 16);
-        reference = service.store().put("demo", std::move(demo));
+        reference = service.store().put(core::GenomeRef::memory("demo"),
+                                        std::move(demo));
     }
 
     if (const std::string &path = cli.getString("requests");

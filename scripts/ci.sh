@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: build + test the default preset, re-run everything
-# under ASan/UBSan, run the fault-injection, cross-engine conformance,
+# under ASan/UBSan, build the perfbench harness and run its self-test,
+# run the fault-injection, cross-engine conformance,
 # serving-layer, executor-concurrency, pattern-database,
 # overload-protection, sharded-serving, and scoring-conformance
 # suites as their own line items (service, database, overload, shard,
@@ -41,6 +42,13 @@ for preset in default sanitize; do
     run cmake --build --preset "$preset" -j "$jobs"
     run ctest --preset "$preset" -j "$jobs" --timeout 600
 done
+
+# The benchmark harness (perfbench/) is its own CMake project over the
+# library sources, so no build above compiles it: its self-test builds
+# it and checks, at tiny sizes, that every workload emits each metric
+# with its unit and that the correctness gate trips on a corrupted hit.
+# This is what catches a library API change that breaks the benchmark.
+run python3 perfbench/run.py --self-test
 
 # The fault-injection label, by itself: `ctest -L fault` is the suite
 # that proves the process survives injected compile/scan/parse faults.

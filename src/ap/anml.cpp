@@ -1,5 +1,8 @@
 #include "ap/anml.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -53,6 +56,36 @@ attrOf(const std::string &tag, const std::string &name)
     return tag.substr(at, end - at);
 }
 
+/** A numeric attribute value: decimal, at most UINT32_MAX. */
+uint32_t
+parseU32(const std::string &text, const char *attr)
+{
+    uint64_t value = 0;
+    const char *first = text.data();
+    const char *last = first + text.size();
+    auto [end, ec] = std::from_chars(first, last, value);
+    if (text.empty() || ec != std::errc() || end != last ||
+        value > UINT32_MAX)
+        fatal("ANML: %s '%s' is not a 32-bit unsigned integer", attr,
+              text.c_str());
+    return static_cast<uint32_t>(value);
+}
+
+/** Only STEs joined by plain input wires: the nested form applies. */
+bool
+plainSteNetwork(const ApMachine &machine)
+{
+    return std::all_of(machine.elements().begin(),
+                       machine.elements().end(),
+                       [](const Element &el) {
+                           return el.kind == ElemKind::Ste;
+                       }) &&
+           std::all_of(machine.wires().begin(), machine.wires().end(),
+                       [](const Wire &w) {
+                           return w.port == Port::In && !w.inverted;
+                       });
+}
+
 const char *
 portAttr(Port p)
 {
@@ -85,6 +118,16 @@ void
 writeMachineAnml(std::ostream &out, const ApMachine &machine,
                  const std::string &network_id)
 {
+    // A plain STE network nests each element's successors as
+    // <activate-on-match> children; anything with counter or gate
+    // ports lists <wire> elements after the elements instead.
+    const bool nested = plainSteNetwork(machine);
+    std::vector<std::vector<ElemId>> successors(nested ? machine.size()
+                                                       : 0);
+    if (nested)
+        for (const Wire &w : machine.wires())
+            successors[w.from].push_back(w.to);
+
     out << "<anml version=\"1.0\">\n";
     out << "  <automata-network id=\"" << network_id << "\">\n";
     for (ElemId e = 0; e < machine.size(); ++e) {
@@ -110,14 +153,24 @@ writeMachineAnml(std::ostream &out, const ApMachine &machine,
             out << " report-code=\"" << el.reportId << "\"";
         if (!el.name.empty())
             out << " label=\"" << el.name << "\"";
-        out << "/>\n";
+        if (!nested || successors[e].empty()) {
+            out << "/>\n";
+            continue;
+        }
+        out << ">\n";
+        for (ElemId t : successors[e])
+            out << "      <activate-on-match element=\"e" << t
+                << "\"/>\n";
+        out << "    </state-transition-element>\n";
     }
-    for (const Wire &w : machine.wires()) {
-        out << "    <wire from=\"e" << w.from << "\" to=\"e" << w.to
-            << "\" port=\"" << portAttr(w.port) << "\"";
-        if (w.inverted)
-            out << " inverted=\"1\"";
-        out << "/>\n";
+    if (!nested) {
+        for (const Wire &w : machine.wires()) {
+            out << "    <wire from=\"e" << w.from << "\" to=\"e"
+                << w.to << "\" port=\"" << portAttr(w.port) << "\"";
+            if (w.inverted)
+                out << " inverted=\"1\"";
+            out << "/>\n";
+        }
     }
     out << "  </automata-network>\n";
     out << "</anml>\n";
@@ -153,6 +206,7 @@ machineAnmlFromString(const std::string &text)
     std::vector<PendingWire> wires;
 
     size_t pos = 0;
+    std::string open_ste; // id of the STE whose children we are in
     while (true) {
         auto lt = text.find('<', pos);
         if (lt == std::string::npos)
@@ -167,17 +221,30 @@ machineAnmlFromString(const std::string &text)
         if (tag.rfind("state-transition-element", 0) == 0) {
             std::string symbols = attrOf(tag, "symbol-set");
             std::string start = attrOf(tag, "start");
+            if (symbols.empty())
+                fatal("ANML: STE without symbol-set");
             id = machine.addSte(
                 automata::SymbolClass::parse(symbols),
                 start.empty() ? StartKind::None : parseStart(start),
                 attrOf(tag, "label"));
+            open_ste = tag.back() == '/' ? "" : attrOf(tag, "id");
+        } else if (tag == "/state-transition-element") {
+            open_ste.clear();
+            continue;
+        } else if (tag.rfind("activate-on-match", 0) == 0) {
+            if (open_ste.empty())
+                fatal("ANML: activate-on-match outside an element");
+            wires.push_back(PendingWire{open_ste,
+                                        attrOf(tag, "element"),
+                                        Port::In, false});
+            continue;
         } else if (tag.rfind("counter", 0) == 0) {
             const std::string target = attrOf(tag, "count-target");
             if (target.empty())
                 fatal("ANML: counter without count-target");
             const std::string mode = attrOf(tag, "at-target");
             id = machine.addCounter(
-                static_cast<uint32_t>(std::stoul(target)),
+                parseU32(target, "count-target"),
                 mode == "pulse" ? CounterMode::Pulse
                                 : CounterMode::Latch,
                 attrOf(tag, "label"));
@@ -203,8 +270,7 @@ machineAnmlFromString(const std::string &text)
         ids[name] = id;
         const std::string report = attrOf(tag, "report-code");
         if (!report.empty())
-            machine.setReport(
-                id, static_cast<uint32_t>(std::stoul(report)));
+            machine.setReport(id, parseU32(report, "report-code"));
     }
 
     for (const PendingWire &w : wires) {

@@ -47,10 +47,9 @@ placeMachines(const std::vector<MachineStats> &machines,
         spec.gatesPerChip
             ? (p.gates + spec.gatesPerChip - 1) / spec.gatesPerChip
             : 0;
+    const uint64_t min_chips = machines.empty() ? 0 : 1;
     uint64_t chips = std::max({chips_for_blocks, chips_for_counters,
-                               chips_for_gates, uint64_t{machines.empty()
-                                                             ? 0
-                                                             : 1}});
+                               chips_for_gates, min_chips});
     p.chipsUsed = static_cast<uint32_t>(
         std::min<uint64_t>(chips, UINT32_MAX));
     p.fits = chips <= spec.chipsPerBoard();

@@ -281,7 +281,6 @@ Executor::execute(Task task)
         return;
     }
     tasks_.inc();
-    TraceSpan span(task.trace, "pool");
     task.run(); // never throws: submit/forIndices wrap the callable
 }
 
@@ -312,6 +311,7 @@ Executor::forIndices(
     {
         size_t n;
         std::function<bool(size_t, unsigned)> body;
+        TraceSink *trace = nullptr;
         std::atomic<size_t> next{0};
         std::atomic<size_t> inflight{0};
         std::atomic<size_t> done{0};
@@ -323,6 +323,7 @@ Executor::forIndices(
     auto loop = std::make_shared<Loop>();
     loop->n = n;
     loop->body = body;
+    loop->trace = opts.trace;
 
     auto run_lane = [](Loop &state, unsigned lane) {
         for (;;) {
@@ -338,6 +339,11 @@ Executor::forIndices(
                     grabbed = true;
                     bool keep = false;
                     try {
+                        // A helper lane's span ends before its
+                        // inflight decrement, after which the caller's
+                        // join may return and the sink go away.
+                        TraceSpan span(lane > 0 ? state.trace : nullptr,
+                                       "pool");
                         keep = state.body(w, lane);
                     } catch (...) {
                         std::lock_guard<std::mutex> lock(state.mutex);
@@ -372,7 +378,6 @@ Executor::forIndices(
     for (unsigned lane = 1; lane <= helper_lanes; ++lane) {
         Task task;
         task.deadline = opts.deadline;
-        task.trace = opts.trace;
         task.run = [loop, run_lane, lane] { run_lane(*loop, lane); };
         // No future behind helper lanes: a dropped lane just means
         // the remaining lanes (always including the caller) do the

@@ -1,8 +1,8 @@
 /**
  * @file
  * The execution layer: a process-wide, lazily-started work-stealing
- * thread pool shared by every parallel scan path (hscan::parallelScan,
- * core::ChunkedScanner, core::SearchService), so N concurrent requests
+ * thread pool shared by every parallel scan path (core::ChunkedScanner,
+ * core::SearchService), so N concurrent requests
  * share one bounded set of workers instead of each spawning fresh
  * std::threads and oversubscribing the machine N-fold.
  *
@@ -84,7 +84,12 @@ struct TaskOptions
 {
     /** Expired at dequeue time => the task is dropped, not run. */
     Deadline deadline;
-    /** When set, execution records a `pool` span into this sink. */
+    /**
+     * When set, execution records a `pool` span into this sink (for
+     * forIndices, one per index a helper lane runs). Each span ends
+     * before the submitter can observe the work complete, so the
+     * sink need only outlive that wait.
+     */
     TraceSink *trace = nullptr;
     /**
      * The task may block waiting on other serving-side progress (a
@@ -146,15 +151,22 @@ class Executor
         std::future<R> fut = promise->get_future();
         Task task;
         task.deadline = opts.deadline;
-        task.trace = opts.trace;
         task.mayBlock = opts.mayBlock;
-        task.run = [promise, fn = std::forward<F>(fn)]() mutable {
+        task.run = [promise, trace = opts.trace,
+                    fn = std::forward<F>(fn)]() mutable {
             try {
+                // The span ends before the future is ready: the sink
+                // is the submitter's, which may destroy it as soon as
+                // it sees the result.
+                TraceSpan span(trace, "pool");
                 if constexpr (std::is_void_v<R>) {
                     fn();
+                    span.finish();
                     promise->set_value();
                 } else {
-                    promise->set_value(fn());
+                    R value = fn();
+                    span.finish();
+                    promise->set_value(std::move(value));
                 }
             } catch (...) {
                 promise->set_exception(std::current_exception());
@@ -231,7 +243,6 @@ class Executor
         std::function<void()> run;
         std::function<void(Error)> drop; //!< fail the future instead
         Deadline deadline;
-        TraceSink *trace = nullptr;
         bool mayBlock = false; //!< skipped by helping loops
         std::chrono::steady_clock::time_point enqueued;
     };

@@ -7,8 +7,7 @@
  * leading overlap that no seam-straddling window is lost; an event is
  * emitted by exactly the chunk whose emit zone contains its end index,
  * so results are bit-identical to a single whole-genome scan (tested
- * for every CPU engine). This generalises the former HScan-only
- * hscan::parallelScan to the whole registry.
+ * for every CPU engine). This is the library's one chunked scan path.
  *
  * Fault tolerance (see DESIGN.md "Failure model"): the per-chunk
  * granularity is also the recovery granularity. A Deadline in the

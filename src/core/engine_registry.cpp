@@ -11,7 +11,7 @@ EngineRegistry::instance()
     static EngineRegistry registry;
     static std::once_flag builtins;
     std::call_once(builtins, [] {
-        // Registration order is the presentation order of allEngines().
+        // Registration order is the presentation order of kinds().
         registerBruteEngine(registry);
         registerReferenceEngine(registry);
         registerHscanEngines(registry);

@@ -1,10 +1,4 @@
-/**
- * @file
- * Legacy free-function surface over the engine registry. No dispatch
- * lives here any more: engineName / allEngines / requiredOrientation /
- * runEngine all delegate to EngineRegistry, and the per-platform
- * adapters live in src/core/engines/.
- */
+/** @file engineName over the engine registry. */
 
 #include "core/engines.hpp"
 
@@ -21,30 +15,6 @@ engineName(EngineKind kind)
     if (kind == EngineKind::Auto)
         return "auto";
     return EngineRegistry::instance().engine(kind).name();
-}
-
-std::vector<EngineKind>
-allEngines()
-{
-    return EngineRegistry::instance().kinds();
-}
-
-Orientation
-requiredOrientation(EngineKind kind)
-{
-    return EngineRegistry::instance().engine(kind).requiredOrientation();
-}
-
-EngineRun
-runEngine(EngineKind kind, const genome::Sequence &genome,
-          const PatternSet &set, const EngineParams &params)
-{
-    // Always a single serial pass: callers that want a threaded scan
-    // set RuntimeOptions::threads and go through SearchSession, which
-    // routes every chunk-capable engine over the chunked pipeline.
-    const Engine &engine = EngineRegistry::instance().engine(kind);
-    CompiledPattern compiled = engine.compile(set, params);
-    return engine.scan(compiled, SequenceView(genome));
 }
 
 } // namespace crispr::core

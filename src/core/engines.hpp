@@ -1,12 +1,11 @@
 /**
  * @file
- * Engine kinds, tunables and run records, plus the legacy free-function
- * surface (engineName / allEngines / requiredOrientation / runEngine).
- * The adapters themselves live in src/core/engines/ — one translation
- * unit per platform, each registering with core::EngineRegistry — and
- * the free functions here are thin wrappers over that registry. New
- * code should prefer core::Engine / core::SearchSession (engine.hpp,
- * session.hpp), which compile a pattern set once and reuse it.
+ * Engine kinds, tunables and run records. The adapters themselves live
+ * in src/core/engines/ — one translation unit per platform, each
+ * registering with core::EngineRegistry (engine_registry.hpp), which
+ * lists them (kinds()) and looks them up. core::Engine and
+ * core::SearchSession (engine.hpp, session.hpp) compile a pattern set
+ * once and reuse it.
  */
 
 #ifndef CRISPR_CORE_ENGINES_HPP_
@@ -54,14 +53,8 @@ enum class EngineKind
     CasOtIndexed,     //!< baseline tool, seed-index mode
 };
 
-/** Printable engine name. */
+/** Printable engine name ("auto" for the Auto selector). */
 const char *engineName(EngineKind kind);
-
-/** All engines, in presentation order. */
-std::vector<EngineKind> allEngines();
-
-/** The pattern-set orientation an engine requires. */
-Orientation requiredOrientation(EngineKind kind);
 
 /** Per-engine tunables (defaults reproduce the paper's setups). */
 struct EngineParams
@@ -108,16 +101,6 @@ struct EngineRun
     std::map<std::string, double> metrics; //!< engine-specific counters
     std::string notes;
 };
-
-/**
- * Run one engine over a genome: compile-and-scan in one shot via the
- * engine registry. The pattern set's orientation must be
- * requiredOrientation(kind) (FatalError otherwise). Prefer
- * SearchSession when scanning more than once — this recompiles the
- * pattern set on every call.
- */
-EngineRun runEngine(EngineKind kind, const genome::Sequence &genome,
-                    const PatternSet &set, const EngineParams &params = {});
 
 } // namespace crispr::core
 

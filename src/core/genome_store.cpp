@@ -193,9 +193,8 @@ GenomeStore::tryLoad(const GenomeRef &ref, bool lenient,
     switch (ref.source) {
     case GenomeSource::Memory: {
         // Memory refs never load from anywhere: they must have been
-        // put() first. get() under the legacy key keeps hit/miss
-        // accounting identical to the string API.
-        if (SharedSequence seq = get(ref.key()))
+        // put() first.
+        if (SharedSequence seq = get(ref))
             return seq;
         return Error(ErrorCode::InvalidArgument,
                      "in-memory genome ref is not in the store "
@@ -250,34 +249,10 @@ GenomeStore::load(const GenomeRef &ref, bool lenient)
     return tryLoad(ref, lenient).valueOrThrow();
 }
 
-common::Expected<SharedSequence>
-GenomeStore::tryLoadFile(const std::string &path, bool lenient,
-                         const common::Deadline &deadline)
-{
-    return tryLoad(GenomeRef::fasta(path), lenient, deadline);
-}
-
-SharedSequence
-GenomeStore::getOrLoad(const std::string &key, const Loader &loader)
-{
-    return tryGetOrLoad(key, loader).valueOrThrow();
-}
-
-SharedSequence
-GenomeStore::loadFile(const std::string &path, bool lenient)
-{
-    return tryLoadFile(path, lenient).valueOrThrow();
-}
-
 SharedSequence
 GenomeStore::put(const GenomeRef &ref, genome::Sequence seq)
 {
-    return put(ref.key(), std::move(seq));
-}
-
-SharedSequence
-GenomeStore::put(const std::string &key, genome::Sequence seq)
-{
+    const std::string key = ref.key();
     auto ptr = std::make_shared<const genome::Sequence>(std::move(seq));
     std::promise<LoadResult> promise;
     std::shared_future<LoadResult> fut = promise.get_future().share();
@@ -298,16 +273,10 @@ GenomeStore::put(const std::string &key, genome::Sequence seq)
 SharedSequence
 GenomeStore::get(const GenomeRef &ref)
 {
-    return get(ref.key());
-}
-
-SharedSequence
-GenomeStore::get(const std::string &key)
-{
     std::shared_future<LoadResult> fut;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto it = findLocked(key);
+        auto it = findLocked(ref.key());
         if (it == entries_.end()) {
             misses_.inc();
             return nullptr;
@@ -324,14 +293,8 @@ GenomeStore::get(const std::string &key)
 bool
 GenomeStore::erase(const GenomeRef &ref)
 {
-    return erase(ref.key());
-}
-
-bool
-GenomeStore::erase(const std::string &key)
-{
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = findLocked(key);
+    auto it = findLocked(ref.key());
     if (it == entries_.end())
         return false;
     dropEntryBytesLocked(*it);

@@ -5,17 +5,15 @@
  * reference scans shared immutable memory instead of re-parsing FASTA.
  *
  * Genome identity is a typed GenomeRef (stable id + source kind:
- * in-memory | FASTA file | packed ".2bit" file) rather than a raw
- * string key; the old string-keyed methods survive as thin deprecated
- * wrappers whose behaviour is unchanged (a string path is a FASTA ref,
- * a string key is a memory ref). Packed refs are loaded through
+ * in-memory | FASTA file | packed ".2bit" file). Packed refs are
+ * loaded through
  * genome::PackedFile — mmap on POSIX — and the store keeps the mapping
  * handle alive for the cache entry's lifetime, so N shard workers
  * naming one packed reference share a single physical copy of the
  * packed payload (the `store.mmap_bytes` gauge) on top of the one
  * shared decoded Sequence.
  *
- * Load-once semantics: concurrent getOrLoad() calls for one key share
+ * Load-once semantics: concurrent tryLoad() calls for one ref share
  * a single parse — the first caller runs the loader while the racers
  * block on the same future, so a reference is never decoded twice no
  * matter how many requests land at once. Failed loads are not cached
@@ -64,12 +62,9 @@ enum class GenomeSource : uint8_t
 
 /**
  * Typed genome identity: a stable id plus its source kind. This is
- * the public way requests, the service, and the shard coordinator
- * name a reference (RequestOptions::genomeRef); the raw string/path
- * overloads remain as deprecated wrappers that construct one of
- * these. Two refs are the same genome iff their key()s agree —
- * memory and FASTA refs keep the legacy string key unchanged, so
- * pre-GenomeRef cache contents and call sites interoperate exactly.
+ * the one way requests, the service, and the shard coordinator name
+ * a reference (RequestOptions::genomeRef). Two refs are the same
+ * genome iff their key()s agree.
  */
 struct GenomeRef
 {
@@ -95,7 +90,7 @@ struct GenomeRef
 
     bool empty() const { return id.empty(); }
 
-    /** The store's cache key (legacy-compatible for memory/FASTA). */
+    /** The store's cache key: the id, prefixed for packed files. */
     std::string
     key() const
     {
@@ -161,22 +156,6 @@ class GenomeStore
     common::Expected<SharedSequence>
     tryGetOrLoad(const std::string &key, const Loader &loader,
                  const common::Deadline &deadline = {});
-
-    /**
-     * Deprecated string-keyed surface (thin wrappers over the typed
-     * methods; behaviour unchanged — a path is a FASTA ref, a key a
-     * memory ref). Prefer the GenomeRef overloads.
-     */
-    common::Expected<SharedSequence>
-    tryLoadFile(const std::string &path, bool lenient = false,
-                const common::Deadline &deadline = {});
-    SharedSequence getOrLoad(const std::string &key,
-                             const Loader &loader);
-    SharedSequence loadFile(const std::string &path,
-                            bool lenient = false);
-    SharedSequence put(const std::string &key, genome::Sequence seq);
-    SharedSequence get(const std::string &key);
-    bool erase(const std::string &key);
 
     /** Drop every entry (callers' shared_ptrs stay valid). */
     void clear();

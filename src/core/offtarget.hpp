@@ -39,8 +39,8 @@ struct OffTargetHit
     /**
      * Position-weighted site penalty (MIT/Hsu-style), bit-identical to
      * post-hoc sitePenalty() on this hit's mismatch positions
-     * (tested). 1.0 for a perfect site; 0.0 only when scoring was
-     * disabled (ExecutionOptions::inScanScores = false).
+     * (tested). 1.0 for a perfect site; 0.0 only from a direct
+     * hitsFromEvents() call with `with_scores = false`.
      */
     double penalty = 0.0;
 

@@ -21,9 +21,7 @@
  * it participates in the service's coalescing key for exactly that
  * reason. The ranked-report knobs (`scoreThreshold`, `topK`) shape
  * only the derived `SearchResult::ranked` listing — the verified
- * `hits` list is never filtered by them — and `inScanScores` governs
- * whether hits carry per-site penalties at all (a benchmarking
- * baseline; ranked requests force it on).
+ * `hits` list is never filtered by them.
  */
 
 #ifndef CRISPR_CORE_OPTIONS_HPP_
@@ -152,15 +150,6 @@ struct ExecutionOptions
      * across shard counts and chunk geometry, tested). 0 = unlimited.
      */
     size_t topK = 0;
-
-    /**
-     * Compute each hit's mismatch-position mask and site penalty
-     * during verification (the in-scan scoring path). On by default —
-     * the marginal cost is a table lookup per mismatch already found.
-     * Off is the boolean-scan baseline for benchmarks; a ranked
-     * request (topK / scoreThreshold) forces scoring back on.
-     */
-    bool inScanScores = true;
 
     /** True when either ranked-report knob is engaged. */
     bool rankedRequested() const

@@ -84,8 +84,8 @@ scoreGuides(const genome::Sequence &genome,
  * scoreGuides() without the genome: aggregates the penalties the scan
  * already computed (OffTargetHit::penalty), bit-identical to
  * scoreGuides() on the same result (tested) since both paths sum the
- * same doubles in the same hit order. Requires a result searched with
- * in-scan scoring (ExecutionOptions::inScanScores, the default).
+ * same doubles in the same hit order. Every search result carries
+ * these in-scan penalties.
  */
 std::vector<GuideScore>
 scoreGuidesFromHits(size_t guide_count, const SearchResult &result);

@@ -57,11 +57,22 @@ applyDefaultExecution(ExecutionOptions &exec,
         exec.scoreThreshold = defaults.scoreThreshold;
     if (exec.topK == builtin.topK)
         exec.topK = defaults.topK;
-    if (exec.inScanScores == builtin.inScanScores)
-        exec.inScanScores = defaults.inScanScores;
 }
 
 } // namespace
+
+common::Expected<SharedSequence>
+resolveRequestGenome(const RequestOptions &options, GenomeStore &store)
+{
+    if (options.genome)
+        return options.genome;
+    if (options.genomeRef.empty())
+        return Error(ErrorCode::InvalidArgument,
+                     "request names no genome (set genome or "
+                     "genomeRef)");
+    return store.tryLoad(options.genomeRef, options.config.lenientFasta,
+                         options.config.deadline);
+}
 
 SearchService::SearchService(ServiceOptions options,
                              std::shared_ptr<GenomeStore> store)
@@ -238,31 +249,15 @@ SearchService::enqueue(std::vector<Guide> guides,
     applyDefaultExecution(options.config.execution(),
                           options_.defaults);
 
-    SharedSequence genome = std::move(options.genome);
-    if (!genome) {
-        // A raw genomePath is the deprecated spelling of a FASTA ref.
-        GenomeRef ref = options.genomeRef;
-        if (ref.empty() && !options.genomePath.empty())
-            ref = GenomeRef::fasta(options.genomePath);
-        if (ref.empty()) {
-            complete(Error(ErrorCode::InvalidArgument,
-                           "request names no genome (set genome, "
-                           "genomeRef, or genomePath)"));
-            return;
-        }
-        auto loaded = store_->tryLoad(ref,
-                                      options.config.lenientFasta,
-                                      options.config.deadline);
-        if (!loaded.ok()) {
-            complete(loaded.error());
-            return;
-        }
-        genome = std::move(loaded).value();
+    auto genome = resolveRequestGenome(options, *store_);
+    if (!genome.ok()) {
+        complete(genome.error());
+        return;
     }
 
     Pending pending;
     pending.guides = std::move(guides);
-    pending.genome = std::move(genome);
+    pending.genome = std::move(genome).value();
     pending.config = options.config;
     if (pending.config.databaseDir.empty())
         pending.config.databaseDir = options_.databaseDir;
@@ -681,21 +676,13 @@ SearchService::executeMerged(std::vector<Pending> members)
     // deadline is composed across members. Ranked knobs are per-member
     // result shaping, not batch execution: a member's topK must select
     // against *its* guides, not the merged set, so the batch scans
-    // unranked (scores on if anyone ranks) and each member's ranked
-    // listing is derived after demux.
+    // unranked and each member's ranked listing is derived after demux.
     SearchConfig config = members.front().config;
     config.deadline = members.size() > 1
                           ? combinedDeadline(members)
                           : members.front().config.deadline;
     config.topK = 0;
     config.scoreThreshold = 0.0;
-    const bool any_ranked =
-        std::any_of(members.begin(), members.end(),
-                    [](const Pending &member) {
-                        return member.config.rankedRequested();
-                    });
-    if (any_ranked)
-        config.inScanScores = true;
 
     // Degraded mode: under pressure an engine=auto batch is pinned to
     // the cost model's cheapest compile+scan choice for this genome

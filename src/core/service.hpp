@@ -12,9 +12,8 @@
  *
  * @code
  *   core::SearchService service;           // windowed batching
- *   auto ref = service.store().loadFile("hg38.fa");
  *   core::RequestOptions req;
- *   req.genome = ref;
+ *   req.genomeRef = core::GenomeRef::fasta("hg38.fa"); // loaded once
  *   req.config.maxMismatches = 3;
  *   auto f1 = service.submit({guideA}, req);   // these coalesce into
  *   auto f2 = service.submit({guideB}, req);   // one genome pass
@@ -205,17 +204,9 @@ struct RequestOptions
      * Alternative to `genome`: a typed reference (in-memory key,
      * FASTA path, or packed ".2bit" file) resolved through the
      * service's GenomeStore at submit time (load-once, LRU-cached;
-     * packed refs are mmap-shared). Precedence: `genome` wins, then
-     * `genomeRef`, then the deprecated `genomePath`.
+     * packed refs are mmap-shared). `genome` wins when both are set.
      */
     GenomeRef genomeRef;
-
-    /**
-     * Deprecated: a FASTA path, equivalent to
-     * `genomeRef = GenomeRef::fasta(path)`. Kept so existing call
-     * sites compile unchanged.
-     */
-    std::string genomePath;
 
     /**
      * Compile options form the coalescing key; runtime options ride
@@ -224,6 +215,15 @@ struct RequestOptions
      */
     SearchConfig config;
 };
+
+/**
+ * The genome a request names: `genome` when set, else `genomeRef`
+ * loaded through `store` under the request's leniency and deadline.
+ * InvalidArgument when the request names neither. SearchService and
+ * ShardedSearchService both resolve requests through this.
+ */
+common::Expected<SharedSequence>
+resolveRequestGenome(const RequestOptions &options, GenomeStore &store);
 
 /** The batching search front end. */
 class SearchService
@@ -260,7 +260,7 @@ class SearchService
     /** Block until no request is pending or executing. */
     void flush();
 
-    /** The genome cache requests resolve `genomePath` against. */
+    /** The genome cache requests resolve `genomeRef` against. */
     GenomeStore &store() { return *store_; }
     std::shared_ptr<GenomeStore> sharedStore() { return store_; }
 

@@ -30,6 +30,17 @@ joinEngineNames(const std::vector<EngineKind> &kinds)
     return out;
 }
 
+ChunkedScanOptions
+chunkOptions(const SearchConfig &config)
+{
+    // ChunkedScanOptions *is* the shared ExecutionOptions layer that
+    // RuntimeOptions inherits, so the handoff is one slice-assign —
+    // no per-field copy to fall out of date when a knob is added.
+    ChunkedScanOptions opts;
+    static_cast<ExecutionOptions &>(opts) = config.execution();
+    return opts;
+}
+
 } // namespace
 
 SearchSession::SearchSession(std::vector<Guide> guides,
@@ -104,17 +115,6 @@ SearchSession::engineChain(const SearchConfig &config) const
     for (EngineKind kind : config.fallbacks)
         expand(kind, /*count_choice=*/false);
     return chain;
-}
-
-ChunkedScanOptions
-SearchSession::chunkOptions(const SearchConfig &config) const
-{
-    // ChunkedScanOptions *is* the shared ExecutionOptions layer that
-    // RuntimeOptions inherits, so the handoff is one slice-assign —
-    // no per-field copy to fall out of date when a knob is added.
-    ChunkedScanOptions opts;
-    static_cast<ExecutionOptions &>(opts) = config.execution();
-    return opts;
 }
 
 common::Expected<std::shared_ptr<const CompiledPattern>>
@@ -222,12 +222,12 @@ SearchSession::annotate(EngineRun &run) const
     breakers_->mergeMetricsInto(run.metrics);
 }
 
+namespace {
+
 common::Expected<EngineRun>
-SearchSession::scanWith(
-    const Engine &engine,
-    const std::shared_ptr<const CompiledPattern> &compiled,
-    const genome::Sequence &genome_seq,
-    const SearchConfig &config) const
+scanWith(const Engine &engine,
+         const std::shared_ptr<const CompiledPattern> &compiled,
+         const genome::Sequence &genome_seq, const SearchConfig &config)
 {
     if (common::faultpoints::shouldFail("engine.scan"))
         return Error(ErrorCode::FaultInjected,
@@ -275,15 +275,40 @@ SearchSession::scanWith(
                           scan_options);
 }
 
-common::Expected<SearchResult>
-SearchSession::trySearch(const genome::Sequence &genome_seq)
+/**
+ * Stamp a served result: the hit/drop/fallback metrics, the timed-out
+ * flag, and the ranked listing when the request engaged a ranked knob.
+ */
+void
+finishResult(SearchResult &result, const SearchConfig &config,
+             size_t failed_engines)
 {
-    return trySearch(genome_seq, config_);
+    std::map<std::string, double> &metrics = result.run.metrics;
+    if (config.rankedRequested()) {
+        result.rankedMode = true;
+        result.ranked = rankHits(result.hits, config.scoreThreshold,
+                                 config.topK);
+        metrics["search.ranked"] =
+            static_cast<double>(result.ranked.size());
+    }
+    metrics["events.dropped"] =
+        static_cast<double>(result.droppedEvents);
+    metrics["search.hits"] = static_cast<double>(result.hits.size());
+    if (result.run.timing.hostSeconds > 0.0)
+        metrics["search.hits_per_sec"] =
+            static_cast<double>(result.hits.size()) /
+            result.run.timing.hostSeconds;
+    metrics["session.fallbacks"] = static_cast<double>(failed_engines);
+    metrics.emplace("search.timed_out", 0.0);
+    metrics.emplace("search.cancelled", 0.0);
+    result.timedOut = metrics.at("search.timed_out") > 0.0;
 }
 
+} // namespace
+
 common::Expected<SearchResult>
-SearchSession::trySearch(const genome::Sequence &genome_seq,
-                         const SearchConfig &config)
+SearchSession::searchChain(const SearchConfig &config,
+                           const ScanStep &step)
 {
     common::TraceSpan search_span(config.trace, "search");
     const std::vector<EngineKind> chain = engineChain(config);
@@ -304,77 +329,67 @@ SearchSession::trySearch(const genome::Sequence &genome_seq,
             ++failed_engines;
             continue;
         }
-        const Engine *engine =
-            EngineRegistry::instance().tryFind(kind);
-        if (!engine) {
-            last = Error(ErrorCode::UnsupportedEngine,
-                         strprintf("no engine registered for %s",
-                                   name));
-            recordEngineFailure(name);
-            board.recordFailure(name);
-            ++failed_engines;
-            continue;
+        bool terminal = false;
+        auto attempt = [&]() -> common::Expected<SearchResult> {
+            const Engine *engine =
+                EngineRegistry::instance().tryFind(kind);
+            if (!engine)
+                return Error(ErrorCode::UnsupportedEngine,
+                             strprintf("no engine registered for %s",
+                                       name));
+            auto compiled = compiledFor(config, *engine);
+            if (!compiled.ok())
+                return compiled.error();
+            return step(*engine, compiled.value(), terminal);
+        };
+        common::Expected<SearchResult> result = attempt();
+        if (result.ok()) {
+            board.recordSuccess(name);
+            finishResult(result.value(), config, failed_engines);
+            annotate(result.value().run);
+            return result;
         }
-        auto compiled = compiledFor(config, *engine);
-        if (!compiled.ok()) {
-            last = compiled.error();
-            recordEngineFailure(engine->name());
-            board.recordFailure(name);
-            ++failed_engines;
-            continue;
-        }
-        common::TraceSpan scan_span(config.trace, "scan");
-        auto run = scanWith(*engine, compiled.value(), genome_seq,
-                            config);
-        scan_span.finish();
-        if (!run.ok()) {
-            last = run.error();
-            recordEngineFailure(engine->name());
-            board.recordFailure(name);
-            ++failed_engines;
-            continue;
-        }
-        board.recordSuccess(name);
-
-        SearchResult result;
-        result.patterns = *compiled.value()->set;
-        result.run = std::move(run).value();
-        common::TraceSpan report_span(config.trace, "report");
-        const bool tolerant = engine->kind() == EngineKind::ApCounter;
-        // A ranked request needs penalties even when the caller turned
-        // the in-scan scoring baseline off.
-        const bool with_scores =
-            config.inScanScores || config.rankedRequested();
-        result.hits = hitsFromEvents(genome_seq, result.patterns,
-                                     result.run.events, tolerant,
-                                     &result.droppedEvents, with_scores);
-        if (config.rankedRequested()) {
-            result.rankedMode = true;
-            result.ranked = rankHits(result.hits, config.scoreThreshold,
-                                     config.topK);
-            result.run.metrics["search.ranked"] =
-                static_cast<double>(result.ranked.size());
-        }
-        report_span.finish();
-        result.run.metrics["events.dropped"] =
-            static_cast<double>(result.droppedEvents);
-        result.run.metrics["search.hits"] =
-            static_cast<double>(result.hits.size());
-        if (result.run.timing.hostSeconds > 0.0)
-            result.run.metrics["search.hits_per_sec"] =
-                static_cast<double>(result.hits.size()) /
-                result.run.timing.hostSeconds;
-        result.run.metrics["session.fallbacks"] =
-            static_cast<double>(failed_engines);
-        result.run.metrics.emplace("search.timed_out", 0.0);
-        result.run.metrics.emplace("search.cancelled", 0.0);
-        result.timedOut =
-            result.run.metrics.at("search.timed_out") > 0.0;
-        annotate(result.run);
-        return result;
+        recordEngineFailure(name);
+        board.recordFailure(name);
+        if (terminal)
+            return result.error();
+        last = result.error();
+        ++failed_engines;
     }
     return std::move(last).withContext("engines_tried",
                                        joinEngineNames(chain));
+}
+
+common::Expected<SearchResult>
+SearchSession::trySearch(const genome::Sequence &genome_seq)
+{
+    return trySearch(genome_seq, config_);
+}
+
+common::Expected<SearchResult>
+SearchSession::trySearch(const genome::Sequence &genome_seq,
+                         const SearchConfig &config)
+{
+    return searchChain(
+        config,
+        [&](const Engine &engine,
+            const std::shared_ptr<const CompiledPattern> &compiled,
+            bool &) -> common::Expected<SearchResult> {
+            common::TraceSpan scan_span(config.trace, "scan");
+            auto run = scanWith(engine, compiled, genome_seq, config);
+            scan_span.finish();
+            if (!run.ok())
+                return run.error();
+            SearchResult result;
+            result.patterns = *compiled->set;
+            result.run = std::move(run).value();
+            common::TraceSpan report_span(config.trace, "report");
+            const bool tolerant = engine.kind() == EngineKind::ApCounter;
+            result.hits = hitsFromEvents(genome_seq, result.patterns,
+                                         result.run.events, tolerant,
+                                         &result.droppedEvents);
+            return result;
+        });
 }
 
 common::Expected<SearchResult>
@@ -387,126 +402,63 @@ common::Expected<SearchResult>
 SearchSession::trySearchStream(std::istream &fasta,
                                const SearchConfig &config)
 {
-    common::TraceSpan search_span(config.trace, "search");
-    const std::vector<EngineKind> chain = engineChain(config);
-    CircuitBreakerBoard &board = boardFor(config);
-    Error last(ErrorCode::Internal, "no engine attempted");
-    size_t failed_engines = 0;
+    return searchChain(
+        config,
+        [&](const Engine &engine,
+            const std::shared_ptr<const CompiledPattern> &compiled,
+            bool &terminal) -> common::Expected<SearchResult> {
+            const ChunkedScanOptions opts = chunkOptions(config);
+            if (auto st = ChunkedScanner::validate(engine, compiled, opts);
+                !st.ok())
+                return st.error();
+            SearchResult result;
+            result.patterns = *compiled->set;
 
-    for (EngineKind kind : chain) {
-        const char *name = engineName(kind);
-        if (!board.admit(name)) {
-            last = Error(ErrorCode::Overloaded,
-                         strprintf("circuit breaker open for %s",
-                                   name))
-                       .withContext("engine", name);
-            ++failed_engines;
-            continue;
-        }
-        const Engine *engine =
-            EngineRegistry::instance().tryFind(kind);
-        if (!engine) {
-            last = Error(ErrorCode::UnsupportedEngine,
-                         strprintf("no engine registered for %s",
-                                   name));
-            recordEngineFailure(name);
-            board.recordFailure(name);
-            ++failed_engines;
-            continue;
-        }
-        auto compiled = compiledFor(config, *engine);
-        if (!compiled.ok()) {
-            last = compiled.error();
-            recordEngineFailure(engine->name());
-            board.recordFailure(name);
-            ++failed_engines;
-            continue;
-        }
-        const ChunkedScanOptions opts = chunkOptions(config);
-        if (auto st =
-                ChunkedScanner::validate(*engine, compiled.value(),
-                                         opts);
-            !st.ok()) {
-            last = st.error();
-            recordEngineFailure(engine->name());
-            board.recordFailure(name);
-            ++failed_engines;
-            continue;
-        }
-        ChunkedScanner scanner(*engine, compiled.value(), opts);
+            // Chunk-capable engines compile SiteOrder sets (no
+            // reversed-stream patterns), so a hit's window is local to
+            // the chunk buffer that reported it: verify per chunk, then
+            // lift start to global.
+            ChunkObserver verify = [&](const ChunkScanView &chunk) {
+                common::TraceSpan report_span(config.trace, "report");
+                size_t dropped = 0;
+                std::vector<OffTargetHit> hits =
+                    hitsFromEvents(chunk.buffer, result.patterns,
+                                   chunk.events,
+                                   /*drop_unverified=*/false, &dropped);
+                result.droppedEvents += dropped;
+                for (OffTargetHit hit : hits) {
+                    hit.start += chunk.bufferStart;
+                    result.hits.push_back(hit);
+                }
+            };
 
-        SearchResult result;
-        result.patterns = *compiled.value()->set;
-
-        // Chunk-capable engines compile SiteOrder sets (no
-        // reversed-stream patterns), so a hit's window is local to the
-        // chunk buffer that reported it: verify per chunk, then lift
-        // start to global.
-        const bool with_scores =
-            config.inScanScores || config.rankedRequested();
-        ChunkObserver verify = [&](const ChunkScanView &chunk) {
-            common::TraceSpan report_span(config.trace, "report");
-            size_t dropped = 0;
-            std::vector<OffTargetHit> hits = hitsFromEvents(
-                chunk.buffer, result.patterns, chunk.events,
-                /*drop_unverified=*/false, &dropped, with_scores);
-            result.droppedEvents += dropped;
-            for (OffTargetHit hit : hits) {
-                hit.start += chunk.bufferStart;
-                result.hits.push_back(hit);
+            genome::FastaStreamReader reader(
+                fasta, genome::FastaStreamOptions{config.lenientFasta});
+            auto run = ChunkedScanner(engine, compiled, opts)
+                           .tryScanStream(reader, verify);
+            if (!run.ok()) {
+                // The stream is part-consumed: falling back to another
+                // engine would rescan a truncated genome, so surface
+                // the error instead.
+                terminal = true;
+                return run.error();
             }
-        };
+            result.run = std::move(run).value();
+            result.run.metrics["parse.records_dropped"] =
+                static_cast<double>(reader.recordsDropped());
 
-        genome::FastaStreamReader reader(
-            fasta, genome::FastaStreamOptions{config.lenientFasta});
-        auto run = scanner.tryScanStream(reader, verify);
-        if (!run.ok()) {
-            // The stream is part-consumed: falling back to another
-            // engine would rescan a truncated genome, so surface the
-            // error instead.
-            recordEngineFailure(engine->name());
-            board.recordFailure(name);
-            return run.error();
-        }
-        board.recordSuccess(name);
-        result.run = std::move(run).value();
-
-        // Chunks arrive in stream order; restore the (guide, start,
-        // strand) order hitsFromEvents gives a whole-genome verify.
-        std::sort(result.hits.begin(), result.hits.end(),
-                  [](const OffTargetHit &a, const OffTargetHit &b) {
-                      if (a.guide != b.guide)
-                          return a.guide < b.guide;
-                      if (a.start != b.start)
-                          return a.start < b.start;
-                      return a.strand < b.strand;
-                  });
-        result.run.metrics["events.dropped"] =
-            static_cast<double>(result.droppedEvents);
-        result.run.metrics["parse.records_dropped"] =
-            static_cast<double>(reader.recordsDropped());
-        result.run.metrics["search.hits"] =
-            static_cast<double>(result.hits.size());
-        if (result.run.timing.hostSeconds > 0.0)
-            result.run.metrics["search.hits_per_sec"] =
-                static_cast<double>(result.hits.size()) /
-                result.run.timing.hostSeconds;
-        result.run.metrics["session.fallbacks"] =
-            static_cast<double>(failed_engines);
-        result.timedOut =
-            result.run.metrics.at("search.timed_out") > 0.0;
-        if (config.rankedRequested()) {
-            result.rankedMode = true;
-            result.ranked = rankHits(result.hits, config.scoreThreshold,
-                                     config.topK);
-            result.run.metrics["search.ranked"] =
-                static_cast<double>(result.ranked.size());
-        }
-        annotate(result.run);
-        return result;
-    }
-    return std::move(last).withContext("engines_tried",
-                                       joinEngineNames(chain));
+            // Chunks arrive in stream order; restore the (guide, start,
+            // strand) order hitsFromEvents gives a whole-genome verify.
+            std::sort(result.hits.begin(), result.hits.end(),
+                      [](const OffTargetHit &a, const OffTargetHit &b) {
+                          if (a.guide != b.guide)
+                              return a.guide < b.guide;
+                          if (a.start != b.start)
+                              return a.start < b.start;
+                          return a.strand < b.strand;
+                      });
+            return result;
+        });
 }
 
 SearchResult

@@ -39,6 +39,7 @@
 #ifndef CRISPR_CORE_SESSION_HPP_
 #define CRISPR_CORE_SESSION_HPP_
 
+#include <functional>
 #include <iosfwd>
 #include <list>
 #include <map>
@@ -142,13 +143,26 @@ class SearchSession
     void clearCache();
 
   private:
+    /**
+     * One scan with an engine's compiled pattern. A failure falls
+     * through to the next engine unless the step sets `terminal`
+     * (it consumed input it cannot replay).
+     */
+    using ScanStep = std::function<common::Expected<SearchResult>(
+        const Engine &, const std::shared_ptr<const CompiledPattern> &,
+        bool &terminal)>;
+
+    /**
+     * The engine-chain walk behind trySearch and trySearchStream: per
+     * engine of engineChain(config), breaker admit, registry lookup,
+     * compiledFor and `step`; each failure is counted on the breaker
+     * board and in session.failures.<name>. The first success gets
+     * its result metrics, ranked listing and session snapshot.
+     */
+    common::Expected<SearchResult> searchChain(const SearchConfig &config,
+                                               const ScanStep &step);
     common::Expected<std::shared_ptr<const CompiledPattern>>
     compiledFor(const SearchConfig &config, const Engine &engine);
-    common::Expected<EngineRun>
-    scanWith(const Engine &engine,
-             const std::shared_ptr<const CompiledPattern> &compiled,
-             const genome::Sequence &genome,
-             const SearchConfig &config) const;
     /** Compile cache key: engine name + compileOptionsKey(options). */
     std::string cacheKey(const CompileOptions &options,
                          const Engine &engine) const;
@@ -170,7 +184,6 @@ class SearchSession
     CircuitBreakerBoard &boardFor(const SearchConfig &config) const;
     void recordEngineFailure(const char *name);
     void annotate(EngineRun &run) const;
-    ChunkedScanOptions chunkOptions(const SearchConfig &config) const;
 
     std::vector<Guide> guides_;
     SearchConfig config_;

@@ -117,32 +117,17 @@ ShardedSearchService::enqueue(std::vector<Guide> guides,
         return;
     }
 
-    // Resolve the genome once at the coordinator (genome > genomeRef >
-    // deprecated genomePath) so every shard scans the same shared
-    // sequence — and a packed ref is mmapped exactly once in the
-    // shared store no matter the shard count.
-    SharedSequence genome = options.genome;
-    if (!genome) {
-        GenomeRef ref = options.genomeRef;
-        if (ref.empty() && !options.genomePath.empty())
-            ref = GenomeRef::fasta(options.genomePath);
-        if (ref.empty()) {
-            errors_.inc();
-            completed_.inc();
-            complete(Error(ErrorCode::InvalidArgument,
-                           "request names no genome"));
-            return;
-        }
-        auto loaded = store_->tryLoad(ref, options.config.lenientFasta,
-                                      options.config.deadline);
-        if (!loaded.ok()) {
-            errors_.inc();
-            completed_.inc();
-            complete(Error(loaded.error()));
-            return;
-        }
-        genome = std::move(loaded).value();
+    // Resolve the genome once at the coordinator so every shard scans
+    // the same shared sequence — and a packed ref is mmapped exactly
+    // once in the shared store no matter the shard count.
+    auto resolved = resolveRequestGenome(options, *store_);
+    if (!resolved.ok()) {
+        errors_.inc();
+        completed_.inc();
+        complete(resolved.error());
+        return;
     }
+    const SharedSequence genome = std::move(resolved).value();
 
     // Partition the requested interval — the whole genome unless the
     // caller restricted config.scanRange — into one contiguous slice
@@ -198,7 +183,6 @@ ShardedSearchService::enqueue(std::vector<Guide> guides,
         RequestOptions sub = options;
         sub.genome = genome;
         sub.genomeRef = GenomeRef{};
-        sub.genomePath.clear();
         sub.config.scanRange = slices[i].range;
         subRequests_.inc();
         std::vector<Guide> sub_guides = i + 1 == slices.size()

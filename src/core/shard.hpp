@@ -108,8 +108,8 @@ class ShardedSearchService
 
     /**
      * Submit a search request; mirrors SearchService::submit. The
-     * genome is resolved once at the coordinator (genome >
-     * genomeRef > deprecated genomePath, through the shared store),
+     * genome is resolved once at the coordinator
+     * (resolveRequestGenome, through the shared store),
      * scattered across the shard workers, and the future resolves
      * with the merged result. A caller-supplied non-whole
      * `config.scanRange` is honoured: the coordinator partitions that

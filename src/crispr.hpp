@@ -48,7 +48,6 @@
 #include "genome/sequence.hpp"
 
 // Automata.
-#include "automata/anml.hpp"
 #include "automata/builders.hpp"
 #include "automata/dfa.hpp"
 #include "automata/dot.hpp"
@@ -57,6 +56,7 @@
 #include "automata/interp.hpp"
 
 // Engines.
+#include "ap/anml.hpp"
 #include "ap/capacity.hpp"
 #include "ap/machine.hpp"
 #include "ap/scaling.hpp"
@@ -69,7 +69,6 @@
 #include "fpga/resource.hpp"
 #include "gpu/infant2.hpp"
 #include "hscan/multipattern.hpp"
-#include "hscan/parallel.hpp"
 #include "hscan/prefilter.hpp"
 
 // Public search API.

@@ -5,8 +5,8 @@
  * so that no window straddling a seam is lost. Events whose end index
  * falls before a chunk's emit zone belong to the previous chunk and are
  * dropped, which makes chunked results bit-identical to a single scan
- * (no cross-chunk deduplication needed). Shared by the HScan parallel
- * scanner and the engine-agnostic core::ChunkedScanner.
+ * (no cross-chunk deduplication needed). Used by the engine-agnostic
+ * core::ChunkedScanner.
  */
 
 #ifndef CRISPR_GENOME_CHUNKING_HPP_

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/engine_registry.hpp"
 #include "core/session.hpp"
 #include "genome/fasta.hpp"
 #include "hscan/simd.hpp"
@@ -262,7 +263,8 @@ TEST_P(Conformance, EveryEngineMatchesReference)
         // fan-out actually happens. Bit-identity must hold across all
         // of it; the failure label carries the geometry.
         Rng trng(w.seed ^ 0x7EAD5EEDull);
-        for (EngineKind kind : core::allEngines()) {
+        for (EngineKind kind :
+             core::EngineRegistry::instance().kinds()) {
             core::SearchConfig cfg = configFor(w, kind);
             cfg.threads = 1 + trng.below(8);
             cfg.chunkSize = size_t{2048} << trng.below(4);

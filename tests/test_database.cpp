@@ -294,10 +294,11 @@ TEST(SearchSession, DatabaseTierWarmStartsBitIdentically)
     EXPECT_EQ(warm.databaseHits(), 1u);
     EXPECT_EQ(warm.databaseMisses(), 0u);
     EXPECT_EQ(warm_result.run.metrics.at("session.db_hits"), 1.0);
-    if (common::kMetricsEnabled)
+    if (common::kMetricsEnabled) {
         EXPECT_EQ(warm_result.run.metrics.count(
                       "session.db_load_seconds.count"),
                   1u);
+    }
     EXPECT_EQ(warm_result.run.metrics.at("compile.from_database"), 1.0);
     EXPECT_EQ(cold_result.hits, warm_result.hits);
     EXPECT_EQ(cold_result.run.events, warm_result.run.events);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "ap/capacity.hpp"
+#include "core/engine_registry.hpp"
 #include "core/report.hpp"
 #include "genome/generator.hpp"
 #include "genome/record_map.hpp"
@@ -128,7 +129,8 @@ TEST(EndToEnd, EveryEngineReportsDroppedEvents)
     gs.seed = 505;
     genome::Sequence ref = genome::generateGenome(gs);
 
-    for (core::EngineKind kind : core::allEngines()) {
+    for (core::EngineKind kind :
+         core::EngineRegistry::instance().kinds()) {
         core::SearchConfig cfg;
         cfg.maxMismatches = 2;
         cfg.engine = kind;
@@ -138,8 +140,9 @@ TEST(EndToEnd, EveryEngineReportsDroppedEvents)
         EXPECT_EQ(res.run.metrics.at("events.dropped"),
                   static_cast<double>(res.droppedEvents))
             << core::engineName(kind);
-        if (kind != core::EngineKind::ApCounter)
+        if (kind != core::EngineKind::ApCounter) {
             EXPECT_EQ(res.droppedEvents, 0u) << core::engineName(kind);
+        }
     }
 }
 

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -267,6 +268,34 @@ TEST(Executor, ForIndicesRunsEveryIndexOnceAndStopsOnFalse)
     EXPECT_EQ(partial, made);
     EXPECT_LT(partial, kIndices);
     EXPECT_GE(partial, 5u);
+}
+
+// A submitter may destroy its trace sink as soon as it sees the work
+// done, so every `pool` span must be recorded by then: one per
+// submitted task, one per index a forIndices helper lane ran.
+TEST(Executor, PoolSpansAreRecordedBeforeCompletionIsVisible)
+{
+    Executor pool(poolOf(2));
+    const size_t per_span = common::kMetricsEnabled ? 1 : 0;
+    for (int round = 0; round < 200; ++round) {
+        auto sink = std::make_unique<common::TraceSink>();
+        common::TaskOptions opts;
+        opts.trace = sink.get();
+        auto fut = pool.submit([] { return 7; }, opts);
+        EXPECT_EQ(fut.get(), 7);
+        EXPECT_EQ(sink->count("pool"), per_span) << "round " << round;
+
+        sink = std::make_unique<common::TraceSink>();
+        opts.trace = sink.get();
+        std::atomic<size_t> helper_indices{0};
+        pool.forIndices(8, 3, opts, [&](size_t, unsigned lane) {
+            if (lane > 0)
+                ++helper_indices;
+            return true;
+        });
+        EXPECT_EQ(sink->count("pool"), per_span * helper_indices)
+            << "round " << round;
+    }
 }
 
 // The determinism contract behind the whole replumb: a pool-fanned

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "ap/anml.hpp"
-#include "automata/anml.hpp"
 #include "common/logging.hpp"
 #include "genome/fasta.hpp"
 #include "genome/fasta_stream.hpp"
@@ -109,8 +108,6 @@ TEST_P(ParserFuzz, AnmlParsersNeverCrash)
     Rng rng(seed);
     for (int trial = 0; trial < 40; ++trial) {
         std::string text = randomText(rng, 300);
-        expectGraceful([&] { automata::anmlFromString(text); },
-                       fuzzCase("anmlFromString", seed, trial));
         expectGraceful([&] { ap::machineAnmlFromString(text); },
                        fuzzCase("machineAnmlFromString", seed, trial));
     }

@@ -81,9 +81,10 @@ TEST(Metrics, CountersAreThreadSafe)
         w.join();
     EXPECT_EQ(reg.counter("shared.count").value(),
               static_cast<uint64_t>(kThreads) * kIncs);
-    if (kMetricsEnabled)
+    if (kMetricsEnabled) {
         EXPECT_EQ(reg.histogram("shared.hist").count(),
                   static_cast<uint64_t>(kThreads) * kIncs);
+    }
 }
 
 TEST(Metrics, HistogramQuantiles)

@@ -386,10 +386,11 @@ TEST(SearchService, CostAwareAdmissionRejectsUnmeetableDeadlines)
     EXPECT_TRUE(admitted.get().ok());
     for (auto &fut : queued)
         EXPECT_TRUE(fut.get().ok());
-    if (common::kMetricsEnabled)
+    if (common::kMetricsEnabled) {
         EXPECT_GE(service.metricsSnapshot().at(
                       "service.est_wait_seconds.max"),
                   0.05);
+    }
 }
 
 // ---------------------------------------------------------------------

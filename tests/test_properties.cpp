@@ -15,10 +15,10 @@
 #include "baselines/casot.hpp"
 #include "fpga/fabric.hpp"
 #include "gpu/infant2.hpp"
+#include "core/engine_registry.hpp"
 #include "core/score.hpp"
 #include "core/session.hpp"
 #include "hscan/multipattern.hpp"
-#include "hscan/parallel.hpp"
 #include "hscan/prefilter.hpp"
 #include "test_util.hpp"
 
@@ -156,12 +156,22 @@ TEST_P(GuideShapeCrossValidation, RealisticShapesAgree)
     hscan::PrefilterMatcher prefilter(specs);
     EXPECT_EQ(prefilter.scanAll(g), want);
 
-    // Multi-threaded scan with odd seams.
-    hscan::ParallelOptions popts;
-    popts.threads = 3;
-    popts.chunkSize = 997;
-    EXPECT_EQ(hscan::parallelScan(hscan::Database::compile(specs), g,
-                                  popts),
+    // Multi-threaded chunked scan with odd seams; the guide's pattern
+    // set is exactly {fwd, rev} above.
+    const core::Engine &bitparallel =
+        core::EngineRegistry::instance().engine(
+            core::EngineKind::HscanBitParallel);
+    auto compiled = std::make_shared<const core::CompiledPattern>(
+        bitparallel.compile(
+            core::buildPatternSet({core::makeGuide("g", guide.str())},
+                                  core::pamNRG(), d, true),
+            core::EngineParams{}));
+    core::ChunkedScanOptions copts;
+    copts.threads = 3;
+    copts.chunkSize = 997;
+    EXPECT_EQ(core::ChunkedScanner(bitparallel, compiled, copts)
+                  .scan(g)
+                  .events,
               want);
 
     baselines::CasOtConfig idx;
@@ -208,7 +218,8 @@ TEST_P(ScoredHitProperty, InScanMaskMatchesPostHocOnEveryEngine)
     cfg.maxMismatches = 3;
     cfg.params.fullSimSymbolLimit = 4 << 10;
     core::SearchSession session(guides, cfg, /*cache_capacity=*/16);
-    for (core::EngineKind kind : core::allEngines()) {
+    for (core::EngineKind kind :
+         core::EngineRegistry::instance().kinds()) {
         core::SearchConfig engine_cfg = cfg;
         engine_cfg.engine = kind;
         auto got = session.trySearch(g, engine_cfg);

@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/engine_registry.hpp"
 #include "core/score.hpp"
 #include "core/session.hpp"
 #include "core/shard.hpp"
@@ -167,7 +168,7 @@ TEST(ScoreConformance, InScanScoresMatchPostHocOnEveryEngine)
         << " planted too few imperfect sites to prove anything";
 
     Rng trng(seed ^ 0x5C04Eull);
-    for (EngineKind kind : core::allEngines()) {
+    for (EngineKind kind : core::EngineRegistry::instance().kinds()) {
         core::SearchConfig engine_cfg = cfg;
         engine_cfg.engine = kind;
         engine_cfg.threads = 1 + trng.below(4);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hpp"
+#include "core/engine_registry.hpp"
 #include "core/report.hpp"
 #include "core/search.hpp"
 #include "genome/generator.hpp"
@@ -180,17 +181,15 @@ TEST(Search, WrongOrientationIsFatal)
     Workload w = makeWorkload(10, 2000, 1, 1);
     PatternSet site_order =
         buildPatternSet(w.guides, pamNRG(), 1, true);
-    EngineParams params;
-    auto run_counter = [&] {
-        runEngine(EngineKind::ApCounter, w.genome, site_order, params);
-    };
-    EXPECT_THROW(run_counter(), crispr::FatalError);
+    const EngineRegistry &registry = EngineRegistry::instance();
+    EXPECT_THROW(registry.engine(EngineKind::ApCounter)
+                     .compile(site_order, EngineParams{}),
+                 crispr::FatalError);
     PatternSet pam_first = buildPatternSet(
         w.guides, pamNRG(), 1, true, Orientation::PamFirst);
-    auto run_fpga = [&] {
-        runEngine(EngineKind::Fpga, w.genome, pam_first, params);
-    };
-    EXPECT_THROW(run_fpga(), crispr::FatalError);
+    EXPECT_THROW(registry.engine(EngineKind::Fpga)
+                     .compile(pam_first, EngineParams{}),
+                 crispr::FatalError);
 }
 
 TEST(Search, NrgPamSupersetOfNggAndNag)

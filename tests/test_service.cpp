@@ -52,7 +52,7 @@ std::vector<core::EngineKind>
 chunkCapableEngines()
 {
     std::vector<core::EngineKind> kinds;
-    for (core::EngineKind kind : core::allEngines())
+    for (core::EngineKind kind : core::EngineRegistry::instance().kinds())
         if (core::EngineRegistry::instance()
                 .engine(kind)
                 .supportsChunkedScan())
@@ -348,7 +348,7 @@ TEST(SearchService, GenomePathResolvesThroughTheStore)
     core::SearchService service(manualMode());
     std::vector<core::Guide> guides = randomGuides(rng, 1);
     core::RequestOptions request;
-    request.genomePath = path;
+    request.genomeRef = core::GenomeRef::fasta(path);
     auto f1 = service.submit(guides, request);
     auto f2 = service.submit(guides, request);
     service.drain();
@@ -364,22 +364,25 @@ TEST(GenomeStore, EvictsLeastRecentlyUsedByBytes)
 {
     Rng rng(9009);
     core::GenomeStore store(/*max_bytes=*/2500);
-    store.put("a", test::randomGenome(rng, 1000));
-    store.put("b", test::randomGenome(rng, 1000));
+    const auto a_ref = core::GenomeRef::memory("a");
+    const auto b_ref = core::GenomeRef::memory("b");
+    const auto c_ref = core::GenomeRef::memory("c");
+    store.put(a_ref, test::randomGenome(rng, 1000));
+    store.put(b_ref, test::randomGenome(rng, 1000));
     EXPECT_EQ(store.entryCount(), 2u);
     EXPECT_EQ(store.bytes(), 2000u);
 
     // Touch "a" so "b" is the LRU victim when "c" arrives.
-    core::SharedSequence a = store.get("a");
+    core::SharedSequence a = store.get(a_ref);
     ASSERT_NE(a, nullptr);
-    store.put("c", test::randomGenome(rng, 1000));
+    store.put(c_ref, test::randomGenome(rng, 1000));
 
     EXPECT_EQ(store.evictions(), 1u);
     EXPECT_EQ(store.entryCount(), 2u);
     EXPECT_LE(store.bytes(), 2500u);
-    EXPECT_EQ(store.get("b"), nullptr);
-    EXPECT_NE(store.get("a"), nullptr);
-    EXPECT_NE(store.get("c"), nullptr);
+    EXPECT_EQ(store.get(b_ref), nullptr);
+    EXPECT_NE(store.get(a_ref), nullptr);
+    EXPECT_NE(store.get(c_ref), nullptr);
     // The evicted shared_ptr held by a caller stays valid (the store
     // drops its reference only).
     EXPECT_EQ(a->size(), 1000u);
@@ -401,13 +404,13 @@ TEST(GenomeStore, ConcurrentGetOrLoadParsesOnce)
     std::vector<std::thread> pool;
     for (size_t t = 0; t < kThreads; ++t)
         pool.emplace_back([&, t] {
-            seen[t] = store.getOrLoad("ref", [&] {
+            seen[t] = store.tryGetOrLoad("ref", [&] {
                 loads.fetch_add(1);
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(20));
                 return common::Expected<genome::Sequence>(
                     genome::Sequence(ref));
-            });
+            }).valueOrThrow();
         });
     for (auto &t : pool)
         t.join();

@@ -41,16 +41,12 @@ randomGuides(Rng &rng, size_t count)
 TEST(EngineRegistry, CoversEveryKindAndRoundTripsNames)
 {
     const auto &registry = core::EngineRegistry::instance();
-    std::vector<core::EngineKind> kinds = registry.kinds();
-    EXPECT_EQ(kinds, core::allEngines());
 
     std::set<std::string> names;
-    for (core::EngineKind kind : core::allEngines()) {
+    for (core::EngineKind kind : registry.kinds()) {
         const core::Engine &engine = registry.engine(kind);
         EXPECT_EQ(engine.kind(), kind);
         EXPECT_STREQ(engine.name(), core::engineName(kind));
-        EXPECT_EQ(engine.requiredOrientation(),
-                  core::requiredOrientation(kind));
         // Names are unique and look up the same adapter.
         EXPECT_TRUE(names.insert(engine.name()).second);
         const core::Engine *by_name = registry.findByName(engine.name());
@@ -61,7 +57,7 @@ TEST(EngineRegistry, CoversEveryKindAndRoundTripsNames)
 
     // Only the AP counter design needs the PamFirst orientation, and
     // only CPU engines accept chunked scans.
-    for (core::EngineKind kind : core::allEngines()) {
+    for (core::EngineKind kind : registry.kinds()) {
         const core::Engine &engine = registry.engine(kind);
         EXPECT_EQ(engine.requiredOrientation() ==
                       core::Orientation::PamFirst,
@@ -161,7 +157,8 @@ TEST(ChunkedScan, SeamStraddlingSitesMatchWholeScan)
     for (int d = 0; d <= 4; ++d) {
         core::PatternSet set = core::buildPatternSet(
             {guide}, core::pamNGG(), d, /*both_strands=*/true);
-        for (core::EngineKind kind : core::allEngines()) {
+        for (core::EngineKind kind :
+             core::EngineRegistry::instance().kinds()) {
             const core::Engine &engine =
                 core::EngineRegistry::instance().engine(kind);
             if (!engine.supportsChunkedScan())
@@ -199,6 +196,82 @@ TEST(ChunkedScan, RejectsDeviceModelEngines)
     EXPECT_THROW(core::ChunkedScanner(fpga, compiled), FatalError);
 }
 
+/** One guide compiled for hscan-bitparallel (site length 23). */
+std::shared_ptr<const core::CompiledPattern>
+bitParallelGuide(const core::Engine &engine)
+{
+    core::Guide guide = core::makeGuide("g0", "GATTACAGATTACAGATTAC");
+    return std::make_shared<const core::CompiledPattern>(engine.compile(
+        core::buildPatternSet({guide}, core::pamNGG(), 1, true),
+        core::EngineParams{}));
+}
+
+TEST(ChunkedScan, EmptyAndTinyInputs)
+{
+    const core::Engine &engine = core::EngineRegistry::instance().engine(
+        core::EngineKind::HscanBitParallel);
+    auto compiled = bitParallelGuide(engine);
+    core::ChunkedScanOptions opts;
+    opts.threads = 3;
+    const core::ChunkedScanner scanner(engine, compiled, opts);
+
+    auto empty = scanner.tryScan(genome::Sequence());
+    ASSERT_TRUE(empty.ok()) << empty.error().str();
+    EXPECT_TRUE(empty.value().events.empty());
+
+    Rng rng(203);
+    genome::Sequence tiny = test::randomGenome(rng, 5);
+    auto got = scanner.tryScan(tiny);
+    ASSERT_TRUE(got.ok()) << got.error().str();
+    EXPECT_EQ(got.value().events,
+              engine.scan(*compiled, core::SequenceView(tiny)).events);
+}
+
+TEST(ChunkedScan, RejectsChunkSmallerThanPattern)
+{
+    const core::Engine &engine = core::EngineRegistry::instance().engine(
+        core::EngineKind::HscanBitParallel);
+    auto compiled = bitParallelGuide(engine);
+    const std::vector<core::Guide> guides = {
+        core::makeGuide("g0", "GATTACAGATTACAGATTAC")};
+    Rng rng(204);
+    genome::Sequence g = test::randomGenome(rng, 100);
+    genome::Sequence site = guides[0].protospacer;
+    site.append(genome::Sequence::fromString("TGG"));
+    genome::plantSite(g, 30, site); // straddles the seam at 46
+
+    // The overlap is pattern length - 1 = 22: a chunk no longer than
+    // it cannot own any window.
+    core::ChunkedScanOptions opts;
+    for (size_t chunk : {size_t{4}, size_t{22}}) {
+        opts.chunkSize = chunk;
+        common::Status st =
+            core::ChunkedScanner::validate(engine, compiled, opts);
+        ASSERT_FALSE(st.ok()) << "chunk=" << chunk;
+        EXPECT_EQ(st.error().code(), common::ErrorCode::InvalidArgument);
+        EXPECT_THROW(core::ChunkedScanner(engine, compiled, opts),
+                     FatalError);
+
+        core::SearchConfig cfg;
+        cfg.engine = core::EngineKind::HscanBitParallel;
+        cfg.maxMismatches = 1;
+        cfg.threads = 2;
+        cfg.chunkSize = chunk;
+        auto res = core::SearchSession(guides, cfg).trySearch(g);
+        ASSERT_FALSE(res.ok()) << "chunk=" << chunk;
+        EXPECT_EQ(res.error().code(), common::ErrorCode::InvalidArgument);
+    }
+
+    // A chunk of exactly the pattern length is the smallest accepted.
+    opts.chunkSize = 23;
+    opts.threads = 2;
+    auto got = core::ChunkedScanner(engine, compiled, opts).tryScan(g);
+    ASSERT_TRUE(got.ok()) << got.error().str();
+    EXPECT_FALSE(got.value().events.empty());
+    EXPECT_EQ(got.value().events,
+              engine.scan(*compiled, core::SequenceView(g)).events);
+}
+
 TEST(SearchSession, ThreadsPlumbedForEveryChunkCapableEngine)
 {
     Rng rng(814);
@@ -208,7 +281,8 @@ TEST(SearchSession, ThreadsPlumbedForEveryChunkCapableEngine)
     genome::Sequence g = test::randomGenome(rng, 9000);
     genome::plantSite(g, 2048 - 7, site); // straddles a chunk seam
 
-    for (core::EngineKind kind : core::allEngines()) {
+    for (core::EngineKind kind :
+         core::EngineRegistry::instance().kinds()) {
         if (!core::EngineRegistry::instance()
                  .engine(kind)
                  .supportsChunkedScan())

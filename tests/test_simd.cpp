@@ -163,9 +163,10 @@ TEST(SimdDispatch, UnusableRequestDegradesBelowNeverAbove)
         const SimdTier resolved = resolveSimdTier(requested);
         EXPECT_TRUE(simdTierUsable(resolved))
             << "requested " << simdTierName(requested);
-        if (requested != SimdTier::Auto)
+        if (requested != SimdTier::Auto) {
             EXPECT_LE(static_cast<int>(resolved),
                       static_cast<int>(requested));
+        }
     }
 }
 
