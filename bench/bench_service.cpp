@@ -18,7 +18,6 @@
 #include <fstream>
 #include <future>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,11 +25,9 @@
 #include <unistd.h>
 
 #include "common/cli.hpp"
-#include "common/executor.hpp"
 #include "core/engine_registry.hpp"
 #include "core/service.hpp"
 #include "core/session.hpp"
-#include "core/shard.hpp"
 #include "workloads.hpp"
 
 using namespace crispr;
@@ -96,57 +93,6 @@ runSerial(const genome::Sequence &genome,
     if (hits)
         *hits = total_hits;
     return static_cast<double>(requests.size()) / seconds;
-}
-
-/**
- * One --pool-compare measurement: `concurrent` client threads, each
- * serving one pre-compiled multi-chunk request (threads=2 per scan).
- * `spawn` selects the pre-executor baseline (fresh std::threads per
- * scan) vs the shared work-stealing pool. @return requests/sec.
- */
-double
-runConcurrent(const genome::Sequence &genome,
-              const std::vector<std::vector<core::Guide>> &requests,
-              const core::SearchConfig &config, size_t concurrent,
-              bool spawn, size_t *hits)
-{
-    // The serving shape where per-scan thread spawning hurts: many
-    // concurrent *small* requests, each scanned in 4 lanes over
-    // fine-grained chunks. The spawn baseline pays 3 fresh OS threads
-    // per request served; the pool schedules the same lanes as tasks
-    // on one bounded worker set.
-    constexpr size_t kRoundsPerClient = 4;
-    const genome::Sequence target = genome.slice(0, 256 << 10);
-    core::SearchConfig cfg = config;
-    cfg.runtime().threads = 4;
-    cfg.runtime().chunkSize = 32 << 10;
-    cfg.runtime().spawnThreads = spawn;
-
-    // Compile outside the timer: the row measures scan execution, and
-    // compilation cost is identical in both modes.
-    std::vector<std::unique_ptr<core::SearchSession>> sessions;
-    for (size_t i = 0; i < concurrent; ++i)
-        sessions.push_back(std::make_unique<core::SearchSession>(
-            requests[i % requests.size()], cfg));
-
-    std::vector<size_t> hit_counts(concurrent, 0);
-    const double start = now();
-    std::vector<std::thread> clients;
-    clients.reserve(concurrent);
-    for (size_t i = 0; i < concurrent; ++i)
-        clients.emplace_back([&, i] {
-            for (size_t round = 0; round < kRoundsPerClient; ++round)
-                hit_counts[i] +=
-                    sessions[i]->search(target).hits.size();
-        });
-    for (auto &client : clients)
-        client.join();
-    const double seconds = now() - start;
-    if (hits)
-        *hits = std::accumulate(hit_counts.begin(), hit_counts.end(),
-                                size_t{0});
-    return static_cast<double>(concurrent * kRoundsPerClient) /
-           seconds;
 }
 
 /** One --db-compare row: time-to-first-result for a fresh session on
@@ -310,50 +256,6 @@ runOverload(const core::SharedSequence &genome,
     return row;
 }
 
-/** A --shard-compare request: one guide set against one genome. */
-struct ShardRequest
-{
-    size_t genome = 0; //!< index into the workload's genome list
-    std::vector<core::Guide> guides;
-};
-
-/**
- * One --shard-compare measurement: every request scattered across
- * `shards` workers (windowed workers with a zero batch window, so
- * each shard's dispatcher scans its slice concurrently), gathered,
- * and verified per request. @return requests/sec.
- */
-double
-runSharded(const std::vector<core::SharedSequence> &genomes,
-           const std::vector<ShardRequest> &requests,
-           const core::SearchConfig &config, size_t shards,
-           std::vector<std::vector<core::OffTargetHit>> *hits_out)
-{
-    core::ShardOptions options;
-    options.shards = shards;
-    options.service.batchWindowSeconds = 0.0;
-    core::ShardedSearchService service(options);
-
-    std::vector<std::future<core::SearchResult>> futures;
-    futures.reserve(requests.size());
-    const double start = now();
-    for (const ShardRequest &r : requests) {
-        core::RequestOptions request;
-        request.genome = genomes[r.genome];
-        request.config = config;
-        futures.push_back(service.submit(r.guides, request));
-    }
-    if (hits_out)
-        hits_out->clear();
-    for (auto &f : futures) {
-        core::SearchResult result = f.get();
-        if (hits_out)
-            hits_out->push_back(std::move(result.hits));
-    }
-    const double seconds = now() - start;
-    return static_cast<double>(requests.size()) / seconds;
-}
-
 } // namespace
 
 int
@@ -371,10 +273,6 @@ main(int argc, char **argv)
                 "serving workload pays compile latency per batch, and "
                 "minimization costs seconds to save microseconds of "
                 "scan here; applied to serial and coalesced alike)");
-    cli.addBool("pool-compare",
-                "also measure concurrent multi-chunk requests with "
-                "spawn-per-scan threads vs the shared work-stealing "
-                "Executor, at 16 and 64 concurrent clients");
     cli.addBool("db-compare",
                 "also measure cold-compile vs pattern-database "
                 "startup latency (engine=auto + databaseDir) for "
@@ -383,11 +281,6 @@ main(int argc, char **argv)
                 "also measure goodput and p99 admitted-latency at "
                 "1x/2x/4x offered load against a bounded-queue "
                 "service (excess shed as Error::overloaded)");
-    cli.addBool("shard-compare",
-                "also measure scatter-gather serving at 1/2/4/8 "
-                "shards over a multi-genome workload (req/s + gather "
-                "efficiency; merged hits verified bit-identical to "
-                "serial at every shard count)");
     cli.addString("json", "BENCH_service.json",
                   "output path of the JSON result row");
     if (!cli.parse(argc, argv))
@@ -467,58 +360,6 @@ main(int argc, char **argv)
     }
     std::printf("%s", table.str().c_str());
 
-    // Spawn-per-scan vs shared-pool under concurrency: every client
-    // scans chunked at threads=2, so the spawn baseline creates
-    // 2 * clients OS threads while the pool keeps one bounded worker
-    // set and lets the clients help. The acceptance bar is pool >=
-    // spawn at 64 clients.
-    std::vector<std::pair<std::string, double>> pool_rows;
-    if (cli.getBool("pool-compare")) {
-        Table pool_table(
-            {"clients", "mode", "req/s", "vs spawn", "hits"});
-        for (size_t concurrent : {size_t(16), size_t(64)}) {
-            size_t spawn_hits = 0, pool_hits = 0;
-            const double spawn_rps =
-                runConcurrent(w.genome, requests, config, concurrent,
-                              /*spawn=*/true, &spawn_hits);
-            const double pool_rps =
-                runConcurrent(w.genome, requests, config, concurrent,
-                              /*spawn=*/false, &pool_hits);
-            if (spawn_hits != pool_hits)
-                fatal("pooled hit count diverged from spawned "
-                      "(%zu clients: %zu vs %zu)",
-                      concurrent, pool_hits, spawn_hits);
-            pool_rows.emplace_back(
-                strprintf("spawn_%zu_rps", concurrent), spawn_rps);
-            pool_rows.emplace_back(
-                strprintf("pool_%zu_rps", concurrent), pool_rps);
-            pool_table.row()
-                .add(strprintf("%zu", concurrent))
-                .add("spawn")
-                .add(spawn_rps, 2)
-                .add("1.0x")
-                .add(static_cast<uint64_t>(spawn_hits));
-            pool_table.row()
-                .add(strprintf("%zu", concurrent))
-                .add("pool")
-                .add(pool_rps, 2)
-                .add(bench::speedupCell(pool_rps, spawn_rps))
-                .add(static_cast<uint64_t>(pool_hits));
-        }
-        std::printf("%s", pool_table.str().c_str());
-
-        const auto pool_metrics =
-            common::Executor::shared().metricsSnapshot();
-        std::printf("executor: tasks=%.0f steals=%.0f dropped=%.0f\n",
-                    pool_metrics.at("executor.tasks"),
-                    pool_metrics.at("executor.steals"),
-                    pool_metrics.at("executor.dropped"));
-        pool_rows.emplace_back("executor_tasks",
-                               pool_metrics.at("executor.tasks"));
-        pool_rows.emplace_back("executor_steals",
-                               pool_metrics.at("executor.steals"));
-    }
-
     // Cold compile vs database load: the Hyperscan serialized-database
     // idiom. Guides come from a dedicated small workload so the row
     // measures startup latency, not genome scanning; the target slice
@@ -550,84 +391,6 @@ main(int argc, char **argv)
         }
         std::printf("%s", db_table.str().c_str());
         std::filesystem::remove_all(db_dir);
-    }
-
-    // Scatter-gather serving: the same requests over N shard workers,
-    // each scanning 1/N of its genome. Correctness is absolute (hits
-    // verified per request against the serial sessions at every shard
-    // count); the speedup bar is meaningful only when the host has
-    // cores for the shards to run on, so it is gated on core count —
-    // the same convention bench_hscan uses for unusable SIMD tiers.
-    std::vector<std::pair<size_t, double>> shard_rows;
-    double shard_efficiency_4 = 0.0;
-    if (cli.getBool("shard-compare")) {
-        constexpr size_t kShardGenomes = 4;
-        const size_t per_genome_mb =
-            std::max<size_t>(1, genome_mb / kShardGenomes);
-        std::vector<core::SharedSequence> shard_genomes;
-        std::vector<ShardRequest> shard_requests;
-        for (size_t g = 0; g < kShardGenomes; ++g) {
-            bench::Workload gw = bench::makeWorkload(
-                per_genome_mb << 20,
-                std::max<size_t>(1, num_requests / kShardGenomes),
-                /*seed=*/100 + g);
-            shard_genomes.push_back(
-                std::make_shared<const genome::Sequence>(
-                    std::move(gw.genome)));
-            for (const core::Guide &guide : gw.guides)
-                shard_requests.push_back(ShardRequest{g, {guide}});
-        }
-
-        // The serial reference every shard count must reproduce.
-        std::vector<std::vector<core::OffTargetHit>> serial_shard_hits;
-        for (const ShardRequest &r : shard_requests) {
-            core::SearchSession session(r.guides, config);
-            serial_shard_hits.push_back(
-                session.search(*shard_genomes[r.genome]).hits);
-        }
-
-        Table shard_table({"shards", "req/s", "vs 1 shard",
-                           "gather efficiency"});
-        double shard_1_rps = 0.0;
-        for (size_t shards : {size_t(1), size_t(2), size_t(4),
-                              size_t(8)}) {
-            std::vector<std::vector<core::OffTargetHit>> hits;
-            const double rps = runSharded(shard_genomes,
-                                          shard_requests, config,
-                                          shards, &hits);
-            for (size_t i = 0; i < shard_requests.size(); ++i)
-                if (hits[i] != serial_shard_hits[i])
-                    fatal("sharded hits diverged from serial "
-                          "(%zu shards, request %zu)",
-                          shards, i);
-            if (shards == 1)
-                shard_1_rps = rps;
-            const double efficiency =
-                rps / (static_cast<double>(shards) * shard_1_rps);
-            if (shards == 4)
-                shard_efficiency_4 = efficiency;
-            shard_rows.emplace_back(shards, rps);
-            shard_table.row()
-                .add(strprintf("%zu", shards))
-                .add(rps, 2)
-                .add(bench::speedupCell(rps, shard_1_rps))
-                .add(strprintf("%.0f%%", 100.0 * efficiency));
-        }
-        std::printf("%s", shard_table.str().c_str());
-
-        const double speedup_4 = shard_rows[2].second / shard_1_rps;
-        const unsigned cores = std::thread::hardware_concurrency();
-        if (cores >= 4)
-            std::printf("shard: 4-shard speedup %.2fx (bar: >= 2x) "
-                        "%s, hits bit-identical at every count\n",
-                        speedup_4,
-                        speedup_4 >= 2.0 ? "PASS" : "MISS");
-        else
-            std::printf("shard: 4-shard speedup %.2fx — bar (>= 2x) "
-                        "skipped: host has %u core(s), the shards "
-                        "have nothing to run on in parallel; hits "
-                        "bit-identical at every count\n",
-                        speedup_4, cores);
     }
 
     // Overload: goodput must hold (>= 90% of 1x) while the offered
@@ -686,23 +449,12 @@ main(int argc, char **argv)
         if (!coalesced.empty())
             json << ", \"speedup_max_batch\": "
                  << coalesced.back().second / serial_rps;
-        for (const auto &[key, value] : pool_rows)
-            json << ", \"" << key << "\": " << value;
         for (const DbCompareRow &row : db_rows)
             json << ", \"db_cold_" << row.guides
                  << "_s\": " << row.coldSeconds << ", \"db_load_"
                  << row.guides << "_s\": " << row.loadSeconds
                  << ", \"db_speedup_" << row.guides
                  << "\": " << row.coldSeconds / row.loadSeconds;
-        if (!shard_rows.empty()) {
-            for (const auto &[shards, rps] : shard_rows)
-                json << ", \"shard_" << shards << "_rps\": " << rps;
-            json << ", \"shard_4x_vs_1x\": "
-                 << shard_rows[2].second / shard_rows[0].second
-                 << ", \"shard_4_efficiency\": " << shard_efficiency_4
-                 << ", \"shard_cores\": "
-                 << std::thread::hardware_concurrency();
-        }
         if (!overload_rows.empty()) {
             json << ", \"overload_capacity_rps\": "
                  << overload_capacity;

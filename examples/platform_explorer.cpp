@@ -290,9 +290,8 @@ main(int argc, char **argv)
                   << strprintf("%.3fs", health.estWaitSeconds)
                   << ", executor backlog "
                   << health.executorQueueDepth << ", store "
-                  << formatBytes(health.storeBytes) << " heap + "
-                  << formatBytes(health.storeMmapBytes)
-                  << " mmap in " << health.storeEntries << " entries"
+                  << formatBytes(health.storeBytes) << " in "
+                  << health.storeEntries << " entries"
                   << (health.pressured ? ", PRESSURED" : "");
         for (const auto &[engine, state] : health.breakers)
             std::cout << ", breaker " << engine << "=" << state;

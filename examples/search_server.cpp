@@ -21,13 +21,11 @@
  * from the directory and answers in milliseconds (watch
  * service.db_preloaded and session.db_hits in the metrics table).
  *
- * --shards N serves through a ShardedSearchService: each request is
- * scattered across N shard workers that each scan 1/N of the genome,
- * and the gathered result is bit-identical to single-shard serving.
- * --twobit names a packed ".2bit" reference (see genome/packed.hpp):
- * the store mmaps it once and every shard shares the single physical
- * copy — the health snapshot reports mmap-resident and heap-decoded
- * bytes separately.
+ * --shards N serves through a ShardedSearchService: each request's
+ * genome pass is split across N scan lanes on the shared executor, and
+ * the result is bit-identical to single-lane serving. --twobit names a
+ * packed ".2bit" reference (see genome/packed.hpp), mapped and decoded
+ * once by the store.
  */
 
 #include <fstream>
@@ -106,11 +104,11 @@ main(int argc, char **argv)
                   "reference FASTA, loaded through the GenomeStore "
                   "(empty: 4 MB demo genome)");
     cli.addString("twobit", "",
-                  "packed \".2bit\" reference, mmap-shared across "
-                  "every shard worker (takes precedence over --fasta)");
+                  "packed \".2bit\" reference, decoded once by the "
+                  "store (takes precedence over --fasta)");
     cli.addInt("shards", 1,
-               "shard workers: each request is scattered across N "
-               "genome slices and gathered (1 = plain service)");
+               "scan lanes per request: each genome pass is split "
+               "across N lanes (1 = serial scans)");
     cli.addInt("d", 3, "maximum mismatches in the protospacer");
     cli.addString("engine", "hscan",
                   "search engine (\"auto\" = cost-model selection)");
@@ -137,8 +135,7 @@ main(int argc, char **argv)
     core::ShardedSearchService service(options);
 
     // Resolve the reference once, through the store: every request
-    // then scans the same shared, immutable decoded sequence (for a
-    // packed ref, additionally one shared mmap of the file).
+    // then scans the same shared, immutable decoded sequence.
     core::SharedSequence reference;
     std::vector<std::vector<core::Guide>> requests;
     if (const std::string &path = cli.getString("twobit");
@@ -255,15 +252,10 @@ main(int argc, char **argv)
         health_table.row()
             .add("executor backlog")
             .add(static_cast<uint64_t>(health.executorQueueDepth));
-        // Heap-decoded vs mmap-resident are different costs: the heap
-        // copy is private pages per store, the mapping is one set of
-        // shared file-backed pages no matter how many shards read it.
-        health_table.row().add("store heap").add(
+        health_table.row().add("store").add(
             strprintf("%s in %zu entries",
                       formatBytes(health.storeBytes).c_str(),
                       health.storeEntries));
-        health_table.row().add("store mmap").add(
-            formatBytes(health.storeMmapBytes));
         for (const auto &[engine, state] : health.breakers)
             health_table.row()
                 .add(strprintf("breaker %s", engine.c_str()))

@@ -14,11 +14,10 @@
 # still builds and passes, smoke-test a cold-start-from-database
 # server restart plus the --health readiness probe, and archive a
 # metrics + trace artifact from the platform explorer plus a
-# serving-throughput row (spawn-per-scan vs shared-pool, cold-compile
-# vs database-load, 1x/2x/4x overload goodput, and 1/2/4/8-shard
-# scatter-gather req/s) from bench_service plus a per-tier SIMD
-# kernel-throughput row from bench_hscan and a scored-vs-boolean /
-# ranked-vs-post-hoc row from bench_e16_scoring.
+# serving-throughput row (coalesced vs serial, cold-compile vs
+# database-load, and 1x/2x/4x overload goodput) from bench_service
+# plus a per-tier SIMD kernel-throughput row from bench_hscan and a
+# scored-vs-boolean / ranked-vs-post-hoc row from bench_e16_scoring.
 #
 # Usage: scripts/ci.sh [-j N]
 set -euo pipefail
@@ -99,10 +98,11 @@ run ctest --test-dir build -L overload --output-on-failure -j "$jobs" --timeout 
 run ctest --test-dir build-sanitize -L overload --output-on-failure \
     -j "$jobs" --timeout 600
 
-# The sharded-serving label on both presets: scatter-gather
-# bit-identity across shard counts, shard-seam correctness, the packed
-# ".2bit" reader (attacker-shaped file bytes, so ASan/UBSan matter),
-# and mmap load-once sharing under concurrent requests.
+# The sharded-serving label on both presets: bit-identity across
+# shard (scan-lane) counts, chunk-seam correctness, the shard-count
+# lane default, the packed ".2bit" reader (attacker-shaped file bytes,
+# so ASan/UBSan matter), and load-once sharing under concurrent
+# requests.
 run ctest --test-dir build -L shard --output-on-failure -j "$jobs" --timeout 600
 run ctest --test-dir build-sanitize -L shard --output-on-failure \
     -j "$jobs" --timeout 600
@@ -120,9 +120,9 @@ run ctest --test-dir build-sanitize -L scoring --output-on-failure \
 # ThreadSanitizer over every suite that touches the pool: the
 # concurrency tier plus the service (coalescing + soak), fault
 # (retry/fallback under injected failures), overload (admission +
-# breakers under 8-client saturation), and shard (scatter-gather
-# helping joins + shared-mmap loads) tiers. TSan cannot combine with
-# ASan, so this is its own preset and build tree.
+# breakers under 8-client saturation), and shard (pooled scan lanes
+# under multi-group dispatch + concurrent packed loads) tiers. TSan
+# cannot combine with ASan, so this is its own preset and build tree.
 run cmake --preset tsan
 run cmake --build --preset tsan -j "$jobs"
 run ctest --test-dir build-tsan \
@@ -166,19 +166,16 @@ grep -q 'ready *| *yes' build/artifacts/db_smoke_warm.txt
     build/artifacts/db_smoke_warm.txt
 
 # Serving-layer throughput row (small shape for CI speed): coalesced
-# vs serial requests/sec plus the spawn-per-scan vs shared-pool
-# comparison at 16/64 concurrent clients and the cold-compile vs
-# pattern-database startup rows, archived for trend tracking. The
+# vs serial requests/sec plus the cold-compile vs pattern-database
+# startup and overload goodput rows, archived for trend tracking. The
 # fresh row is also copied next to the committed BENCH_service.json
 # snapshot at the repo root so a reviewer can diff the trajectory.
 run ./build/bench/bench_service --genome-mb 2 --requests 64 \
-    --pool-compare --db-compare --overload --shard-compare \
+    --db-compare --overload \
     --json build/artifacts/BENCH_service.json
 test -s build/artifacts/BENCH_service.json
-grep -q '"pool_64_rps"' build/artifacts/BENCH_service.json
 grep -q '"db_speedup_100"' build/artifacts/BENCH_service.json
 grep -q '"overload_4x_goodput_rps"' build/artifacts/BENCH_service.json
-grep -q '"shard_4_rps"' build/artifacts/BENCH_service.json
 run cp build/artifacts/BENCH_service.json BENCH_service.latest.json
 
 # Kernel-level SIMD throughput row: scalar/avx2/avx512 bytes/sec on

@@ -106,7 +106,7 @@ Executor::workerLoop(size_t index)
         // the destructor instead.
         if (stop_.load(std::memory_order_acquire))
             break;
-        if (tryExecuteOne(/*include_blocking=*/true))
+        if (tryExecuteOne())
             continue;
         std::unique_lock<std::mutex> lock(mutex_);
         cv_.wait_for(lock, std::chrono::milliseconds(10), [this] {
@@ -166,62 +166,37 @@ Executor::enqueue(Task task, bool block_on_full)
     cv_.notify_one();
 }
 
-namespace {
-
-/** Pop the first eligible task scanning from `begin` in the given
- *  direction; skips mayBlock tasks unless include_blocking. */
-template <typename Deque, typename Iter>
 bool
-takeEligible(Deque &deque, Iter begin, Iter end, bool include_blocking,
-             typename Deque::value_type &out)
-{
-    for (Iter it = begin; it != end; ++it) {
-        if (!include_blocking && it->mayBlock)
-            continue;
-        out = std::move(*it);
-        // reverse_iterator erase: base() points one past the element.
-        if constexpr (std::is_same_v<Iter,
-                                     typename Deque::iterator>) {
-            deque.erase(it);
-        } else {
-            deque.erase(std::next(it).base());
-        }
-        return true;
-    }
-    return false;
-}
-
-} // namespace
-
-bool
-Executor::popOwn(Task &out, bool include_blocking)
+Executor::popOwn(Task &out)
 {
     if (tls_worker.owner != this)
         return false;
     auto *self = static_cast<Worker *>(tls_worker.worker);
     std::lock_guard<std::mutex> lock(self->mutex);
-    // LIFO for the owner: newest eligible first (cache warm).
-    if (!takeEligible(self->deque, self->deque.rbegin(),
-                      self->deque.rend(), include_blocking, out))
+    if (self->deque.empty())
         return false;
+    // LIFO for the owner: newest first (cache warm).
+    out = std::move(self->deque.back());
+    self->deque.pop_back();
     pending_.fetch_sub(1, std::memory_order_relaxed);
     return true;
 }
 
 bool
-Executor::popGlobal(Task &out, bool include_blocking)
+Executor::popGlobal(Task &out)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!takeEligible(global_, global_.begin(), global_.end(),
-                      include_blocking, out))
+    if (global_.empty())
         return false;
+    out = std::move(global_.front());
+    global_.pop_front();
     pending_.fetch_sub(1, std::memory_order_relaxed);
     spaceCv_.notify_one();
     return true;
 }
 
 bool
-Executor::steal(Task &out, bool include_blocking)
+Executor::steal(Task &out)
 {
     const size_t n = workers_.size();
     for (size_t i = 0; i < n; ++i) {
@@ -229,10 +204,11 @@ Executor::steal(Task &out, bool include_blocking)
         if (victim == tls_worker.worker && tls_worker.owner == this)
             continue;
         std::lock_guard<std::mutex> lock(victim->mutex);
-        // FIFO from the victim: oldest eligible first.
-        if (!takeEligible(victim->deque, victim->deque.begin(),
-                          victim->deque.end(), include_blocking, out))
+        if (victim->deque.empty())
             continue;
+        // FIFO from the victim: oldest first.
+        out = std::move(victim->deque.front());
+        victim->deque.pop_front();
         pending_.fetch_sub(1, std::memory_order_relaxed);
         stealsCounter_.inc();
         ++tls_rotor;
@@ -242,12 +218,10 @@ Executor::steal(Task &out, bool include_blocking)
 }
 
 bool
-Executor::tryExecuteOne(bool include_blocking)
+Executor::tryExecuteOne()
 {
     Task task;
-    if (popOwn(task, include_blocking) ||
-        popGlobal(task, include_blocking) ||
-        steal(task, include_blocking)) {
+    if (popOwn(task) || popGlobal(task) || steal(task)) {
         execute(std::move(task));
         return true;
     }
@@ -282,17 +256,6 @@ Executor::execute(Task task)
     }
     tasks_.inc();
     task.run(); // never throws: submit/forIndices wrap the callable
-}
-
-void
-Executor::helpWhile(const std::function<bool()> &done,
-                    bool include_blocking)
-{
-    while (!done()) {
-        if (tryExecuteOne(include_blocking))
-            continue;
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
 }
 
 size_t
@@ -394,10 +357,8 @@ Executor::forIndices(
     auto finished = [&] {
         return loop->inflight.load(std::memory_order_acquire) == 0;
     };
-    // Blocking tasks (shard gathers) are excluded: one could wait on
-    // a sub-request queued behind this very thread's dispatch loop.
     while (!finished()) {
-        if (tryExecuteOne(/*include_blocking=*/false))
+        if (tryExecuteOne())
             continue;
         std::unique_lock<std::mutex> lock(loop->mutex);
         loop->cv.wait_for(lock, std::chrono::milliseconds(1),

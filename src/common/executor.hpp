@@ -20,11 +20,9 @@
  *    Cancelled and `executor.dropped` counts it;
  *  - joins help: forIndices() and wait() execute pending pool tasks
  *    while they wait, so a worker blocked on nested work contributes
- *    instead of deadlocking the pool. Helping loops skip tasks
- *    submitted with TaskOptions::mayBlock (e.g. shard gather joins):
- *    a helper inside a scan must only pick up work guaranteed to
- *    finish on its own, never a task that may transitively wait on
- *    the helper's own thread;
+ *    instead of deadlocking the pool. Every pool task finishes on its
+ *    own (no task waits on serving-side progress), so a helper may
+ *    pick up any of them;
  *  - the destructor stops the workers (the in-flight task of each
  *    finishes), then fails every still-queued task with Cancelled —
  *    no future is ever abandoned, even at static teardown.
@@ -91,18 +89,6 @@ struct TaskOptions
      * sink need only outlive that wait.
      */
     TraceSink *trace = nullptr;
-    /**
-     * The task may block waiting on other serving-side progress (a
-     * scatter-gather join waiting on shard futures, say). Blocking
-     * tasks are executed only by dedicated workers and by waits that
-     * opt in (`wait(fut, true)`) — never by the helping loops inside
-     * scans and joins. A scan's helper that picked up a task which
-     * transitively waits on that very scan's thread (a shard gather
-     * waiting on a sub-request queued behind the dispatcher doing the
-     * helping) would deadlock; the flag keeps dependency-bearing work
-     * off threads whose own progress the work might wait for.
-     */
-    bool mayBlock = false;
 };
 
 /** The work-stealing pool. */
@@ -151,7 +137,6 @@ class Executor
         std::future<R> fut = promise->get_future();
         Task task;
         task.deadline = opts.deadline;
-        task.mayBlock = opts.mayBlock;
         task.run = [promise, trace = opts.trace,
                     fn = std::forward<F>(fn)]() mutable {
             try {
@@ -200,23 +185,19 @@ class Executor
 
     /**
      * Help execute pool tasks until `fut` is ready (deadlock-free
-     * join usable from inside a pool worker). By default the helping
-     * loop skips tasks submitted with TaskOptions::mayBlock — a scan
-     * helping-executes only work guaranteed to finish on its own.
-     * Pass `include_blocking = true` only from contexts that no
-     * blocking task can transitively wait on (a coordinator draining
-     * its own gathers, not a thread inside a scan or dispatch loop).
+     * join usable from inside a pool worker). With nothing to run, it
+     * blocks on `fut` for up to 200 µs before looking again, so a
+     * future that becomes ready wakes the wait at once.
      */
     template <typename T>
     void
-    wait(std::future<T> &fut, bool include_blocking = false)
+    wait(std::future<T> &fut)
     {
-        helpWhile(
-            [&fut] {
-                return fut.wait_for(std::chrono::seconds(0)) ==
-                       std::future_status::ready;
-            },
-            include_blocking);
+        while (fut.wait_for(std::chrono::seconds(0)) !=
+               std::future_status::ready) {
+            if (!tryExecuteOne())
+                fut.wait_for(std::chrono::microseconds(200));
+        }
     }
 
     unsigned workerCount() const
@@ -243,7 +224,6 @@ class Executor
         std::function<void()> run;
         std::function<void(Error)> drop; //!< fail the future instead
         Deadline deadline;
-        bool mayBlock = false; //!< skipped by helping loops
         std::chrono::steady_clock::time_point enqueued;
     };
 
@@ -256,16 +236,12 @@ class Executor
 
     void workerLoop(size_t index);
     void enqueue(Task task, bool block_on_full);
-    /** Pop/steal one task and execute (or drop) it. Helping loops
-     *  pass include_blocking = false to skip mayBlock tasks. */
-    bool tryExecuteOne(bool include_blocking);
-    bool popOwn(Task &out, bool include_blocking);
-    bool popGlobal(Task &out, bool include_blocking);
-    bool steal(Task &out, bool include_blocking);
+    /** Pop/steal one task and execute (or drop) it. */
+    bool tryExecuteOne();
+    bool popOwn(Task &out);
+    bool popGlobal(Task &out);
+    bool steal(Task &out);
     void execute(Task task);
-    /** Execute pending tasks until done() holds; naps when idle. */
-    void helpWhile(const std::function<bool()> &done,
-                   bool include_blocking);
     void noteDequeued(const Task &task);
 
     const ExecutorOptions options_;

@@ -160,22 +160,8 @@ common::Expected<EngineRun>
 ChunkedScanner::tryScan(const genome::Sequence &seq) const
 {
     Stopwatch timer;
-    // Resolve the emit range: {0, 0} means the whole sequence, any
-    // other interval is clamped to it. The plan is laid out over the
-    // range only; each chunk's lead extends below range_begin by up to
-    // overlap_ so a site straddling the lower boundary is still seen,
-    // while its emit zone starts at the boundary — the per-chunk seam
-    // rule applied to the shard seam.
-    const uint64_t n = seq.size();
-    uint64_t range_begin = 0;
-    uint64_t range_end = n;
-    if (!options_.scanRange.whole()) {
-        range_begin = std::min<uint64_t>(options_.scanRange.begin, n);
-        range_end = std::min<uint64_t>(
-            std::max(options_.scanRange.end, range_begin), n);
-    }
-    const auto plan = genome::planScanChunks(
-        range_end - range_begin, options_.chunkSize, overlap_);
+    const auto plan =
+        genome::planScanChunks(seq.size(), options_.chunkSize, overlap_);
     const unsigned threads = genome::resolveThreads(options_.threads);
 
     common::MetricsRegistry scan_metrics;
@@ -201,21 +187,15 @@ ChunkedScanner::tryScan(const genome::Sequence &seq) const
             return false;
         }
         const genome::ScanChunk &c = plan[w];
-        // Globalize the range-local plan; the first chunk's lead is
-        // re-derived from the global emit position so it can reach
-        // below range_begin (the seam overlap).
-        const uint64_t emit = range_begin + c.emitFrom;
-        const uint64_t lead = emit >= overlap_ ? emit - overlap_ : 0;
-        const uint64_t chunk_end = range_begin + c.end;
         try {
             auto kept = scanChunkLocal(
-                std::span<const uint8_t>(seq.data() + lead,
-                                         chunk_end - lead),
-                emit - lead, retries, chunk_latency);
+                std::span<const uint8_t>(seq.data() + c.leadFrom,
+                                         c.end - c.leadFrom),
+                c.emitFrom - c.leadFrom, retries, chunk_latency);
             std::vector<ReportEvent> &local = lane_events[lane];
             for (const ReportEvent &ev : kept)
                 local.push_back(
-                    ReportEvent{ev.reportId, ev.end + lead});
+                    ReportEvent{ev.reportId, ev.end + c.leadFrom});
             done.fetch_add(1, std::memory_order_relaxed);
         } catch (...) {
             std::lock_guard<std::mutex> lock(error_mutex);
@@ -233,21 +213,6 @@ ChunkedScanner::tryScan(const genome::Sequence &seq) const
         for (size_t w = 0; w < plan.size(); ++w)
             if (!body(w, 0))
                 break;
-    } else if (options_.spawnThreads) {
-        // Legacy spawn-per-scan path: the bench baseline only.
-        std::atomic<size_t> next{0};
-        std::vector<std::thread> pool;
-        pool.reserve(lanes);
-        for (unsigned t = 0; t < lanes; ++t)
-            pool.emplace_back([&, t] {
-                for (;;) {
-                    const size_t w = next.fetch_add(1);
-                    if (w >= plan.size() || !body(w, t))
-                        break;
-                }
-            });
-        for (auto &t : pool)
-            t.join();
     } else {
         common::Executor &exec = options_.executor
                                      ? *options_.executor
@@ -265,8 +230,7 @@ ChunkedScanner::tryScan(const genome::Sequence &seq) const
         events.insert(events.end(), local.begin(), local.end());
 
     EngineRun run = makeRun(std::move(events), plan.size(), threads,
-                            timer.seconds(), range_end - range_begin,
-                            scan_metrics);
+                            timer.seconds(), seq.size(), scan_metrics);
     const size_t scanned = done.load();
     run.metrics["scan.chunks_skipped"] =
         static_cast<double>(plan.size() - scanned);
@@ -289,9 +253,8 @@ ChunkedScanner::tryScanStream(genome::FastaStreamReader &reader,
     common::Executor &exec = options_.executor
                                  ? *options_.executor
                                  : common::Executor::shared();
-    // threads == 1 defers every chunk inline; the legacy async path
-    // stays only as the bench_service spawn-per-scan baseline.
-    const bool pooled = threads > 1 && !options_.spawnThreads;
+    // threads == 1 defers every chunk inline, off the pool.
+    const bool pooled = threads > 1;
 
     common::MetricsRegistry scan_metrics;
     common::Histogram chunk_latency =
@@ -380,9 +343,7 @@ ChunkedScanner::tryScanStream(genome::FastaStreamReader &reader,
             pooled ? exec.submit(task,
                                  common::TaskOptions{
                                      {}, options_.trace})
-            : threads <= 1
-                ? std::async(std::launch::deferred, task)
-                : std::async(std::launch::async, task)});
+                   : std::async(std::launch::deferred, task)});
         ++chunks;
         while (!failed && in_flight.size() >= std::max(1u, threads))
             drain_one();
@@ -390,8 +351,8 @@ ChunkedScanner::tryScanStream(genome::FastaStreamReader &reader,
     while (!failed && !in_flight.empty())
         drain_one();
     // Join any scans still in flight after a failure before the
-    // capturing lambdas go out of scope (async future dtors block,
-    // but pool futures do not — wait for them explicitly).
+    // capturing lambdas go out of scope (pool futures do not block in
+    // their destructors — wait for them explicitly).
     while (!in_flight.empty()) {
         Pending p = std::move(in_flight.front());
         in_flight.pop_front();

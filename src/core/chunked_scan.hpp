@@ -38,9 +38,9 @@ namespace crispr::core {
 /**
  * Chunked-scan options: exactly the shared execution-tuning layer
  * (core/options.hpp) — chunk geometry, threads, SIMD tier, deadline,
- * retry budget, executor, trace, and the optional emit ScanRange. The
- * fields used to be re-declared here; SearchSession now hands its
- * RuntimeOptions straight through via the common base.
+ * retry budget, executor, and trace. The fields used to be
+ * re-declared here; SearchSession now hands its RuntimeOptions
+ * straight through via the common base.
  */
 struct ChunkedScanOptions : ExecutionOptions
 {
@@ -94,12 +94,8 @@ class ChunkedScanner
      * `search.timed_out` = 1 and `scan.chunks_skipped` > 0. A chunk
      * that still fails after the retry budget returns ScanFailed.
      *
-     * When `options.scanRange` is a non-whole interval, only events
-     * ending inside [begin, end) (clamped to the sequence) are
-     * emitted; the scan re-reads up to overlap() codes before `begin`
-     * so boundary-straddling sites are still matched. The union of
-     * disjoint ranges covering the sequence is bit-identical to one
-     * whole-sequence scan — the shard coordinator's merge contract.
+     * At most min(threads, chunk count) lanes run: a genome shorter
+     * than threads x chunkSize scans on fewer lanes than requested.
      */
     common::Expected<EngineRun>
     tryScan(const genome::Sequence &seq) const;

@@ -4,8 +4,8 @@
 #include <chrono>
 #include <fstream>
 
-#include "common/logging.hpp"
-#include "genome/fasta.hpp"
+#include "genome/fasta_stream.hpp"
+#include "genome/packed.hpp"
 
 namespace crispr::core {
 
@@ -19,8 +19,7 @@ GenomeStore::GenomeStore(size_t max_bytes)
       evictions_(metrics_.counter("store.evictions")),
       deadlineExceeded_(metrics_.counter("store.deadline_exceeded")),
       bytesGauge_(metrics_.gauge("store.bytes")),
-      entriesGauge_(metrics_.gauge("store.entries")),
-      mmapBytesGauge_(metrics_.gauge("store.mmap_bytes"))
+      entriesGauge_(metrics_.gauge("store.entries"))
 {
 }
 
@@ -38,10 +37,8 @@ GenomeStore::findLocked(const std::string &key)
 void
 GenomeStore::dropEntryBytesLocked(const Entry &entry)
 {
-    if (!entry.ready)
-        return;
-    bytes_ -= entry.bytes;
-    mmapBytes_ -= entry.mmapBytes;
+    if (entry.ready)
+        bytes_ -= entry.bytes;
 }
 
 void
@@ -60,14 +57,12 @@ GenomeStore::evictOverBudgetLocked()
         evictions_.inc();
     }
     bytesGauge_.set(static_cast<double>(bytes_));
-    mmapBytesGauge_.set(static_cast<double>(mmapBytes_));
     entriesGauge_.set(static_cast<double>(entries_.size()));
 }
 
 common::Expected<SharedSequence>
-GenomeStore::tryGetOrLoadImpl(const std::string &key,
-                              const RichLoader &loader,
-                              const common::Deadline &deadline)
+GenomeStore::tryGetOrLoad(const std::string &key, const Loader &loader,
+                          const common::Deadline &deadline)
 {
     // A request that is already dead must not queue behind (or start) a
     // multi-second decode it can never use.
@@ -95,8 +90,7 @@ GenomeStore::tryGetOrLoadImpl(const std::string &key,
             loads_.inc();
             fut = promise.get_future().share();
             my_id = nextId_++;
-            entries_.push_front(Entry{key, fut, my_id, 0, false,
-                                      nullptr, 0});
+            entries_.push_front(Entry{key, fut, my_id, 0, false});
             entriesGauge_.set(static_cast<double>(entries_.size()));
             load_here = true;
         }
@@ -127,14 +121,12 @@ GenomeStore::tryGetOrLoadImpl(const std::string &key,
 
     // Cache miss: this caller decodes while every racer on the same
     // key waits on the shared future — one parse, many readers.
-    std::shared_ptr<const genome::PackedFile> mapped;
     LoadResult result = [&]() -> LoadResult {
         auto loaded = loader();
         if (!loaded.ok())
             return Error(loaded.error());
-        mapped = std::move(loaded.value().mapped);
         return SharedSequence(std::make_shared<const genome::Sequence>(
-            std::move(loaded.value().seq)));
+            std::move(loaded).value()));
     }();
 
     {
@@ -146,14 +138,7 @@ GenomeStore::tryGetOrLoadImpl(const std::string &key,
             if (result.ok()) {
                 it->bytes = result.value()->size();
                 it->ready = true;
-                it->mapped = mapped;
-                it->mmapBytes =
-                    mapped && mapped->memoryMapped()
-                        ? mapped->fileBytes()
-                        : 0;
                 bytes_ += it->bytes;
-                mmapBytes_ += it->mmapBytes;
-                mmapBytesGauge_.set(static_cast<double>(mmapBytes_));
                 evictOverBudgetLocked();
             } else {
                 // Errors are not cached: drop the slot so the next
@@ -166,21 +151,6 @@ GenomeStore::tryGetOrLoadImpl(const std::string &key,
     }
     promise.set_value(result);
     return result;
-}
-
-common::Expected<SharedSequence>
-GenomeStore::tryGetOrLoad(const std::string &key, const Loader &loader,
-                          const common::Deadline &deadline)
-{
-    return tryGetOrLoadImpl(
-        key,
-        [&]() -> common::Expected<Loaded> {
-            auto loaded = loader();
-            if (!loaded.ok())
-                return Error(loaded.error());
-            return Loaded{std::move(loaded).value(), nullptr};
-        },
-        deadline);
 }
 
 common::Expected<SharedSequence>
@@ -202,40 +172,40 @@ GenomeStore::tryLoad(const GenomeRef &ref, bool lenient,
             .withContext("key", ref.key());
     }
     case GenomeSource::FastaFile:
-        return tryGetOrLoadImpl(
-            ref.key(),
-            [&]() -> common::Expected<Loaded> {
+        // Decoded by the reader streamed searches use, so a loaded and
+        // a streamed FASTA are the same genome. Lenient decoding can
+        // differ from strict, so the two are cached apart.
+        return tryGetOrLoad(
+            lenient ? "lenient:" + ref.key() : ref.key(),
+            [&]() -> common::Expected<genome::Sequence> {
                 std::ifstream in(ref.id, std::ios::binary);
                 if (!in)
                     return Error(ErrorCode::InvalidArgument,
                                  "cannot open FASTA file")
                         .withContext("path", ref.id);
-                try {
-                    genome::FastaParseOptions options;
-                    options.lenient = lenient;
-                    size_t dropped = 0;
-                    auto records =
-                        genome::readFasta(in, options, &dropped);
-                    return Loaded{
-                        genome::concatenateRecords(records), nullptr};
-                } catch (const FatalError &e) {
-                    return Error(ErrorCode::ParseError, e.what())
-                        .withContext("path", ref.id);
+                genome::FastaStreamReader reader(
+                    in, genome::FastaStreamOptions{lenient});
+                std::vector<uint8_t> codes;
+                std::vector<uint8_t> chunk;
+                for (;;) {
+                    auto more = reader.tryNext(size_t(1) << 20, chunk);
+                    if (!more.ok())
+                        return Error(more.error())
+                            .withContext("path", ref.id);
+                    if (!more.value())
+                        return genome::Sequence(std::move(codes));
+                    codes.insert(codes.end(), chunk.begin(), chunk.end());
                 }
             },
             deadline);
     case GenomeSource::PackedFile:
-        return tryGetOrLoadImpl(
+        return tryGetOrLoad(
             ref.key(),
-            [&]() -> common::Expected<Loaded> {
+            [&]() -> common::Expected<genome::Sequence> {
                 auto mapped = genome::PackedFile::map(ref.id);
                 if (!mapped.ok())
                     return Error(mapped.error());
-                // One decoded heap copy per store (shared by every
-                // worker); the mapping handle rides along so the
-                // packed pages stay shared for the entry's lifetime.
-                return Loaded{mapped.value()->unpack(),
-                              std::move(mapped).value()};
+                return mapped.value()->unpack();
             },
             deadline);
     }
@@ -263,8 +233,7 @@ GenomeStore::put(const GenomeRef &ref, genome::Sequence seq)
         dropEntryBytesLocked(*it);
         entries_.erase(it);
     }
-    entries_.push_front(Entry{key, fut, nextId_++, ptr->size(), true,
-                              nullptr, 0});
+    entries_.push_front(Entry{key, fut, nextId_++, ptr->size(), true});
     bytes_ += ptr->size();
     evictOverBudgetLocked();
     return ptr;
@@ -300,7 +269,6 @@ GenomeStore::erase(const GenomeRef &ref)
     dropEntryBytesLocked(*it);
     entries_.erase(it);
     bytesGauge_.set(static_cast<double>(bytes_));
-    mmapBytesGauge_.set(static_cast<double>(mmapBytes_));
     entriesGauge_.set(static_cast<double>(entries_.size()));
     return true;
 }
@@ -311,9 +279,7 @@ GenomeStore::clear()
     std::lock_guard<std::mutex> lock(mutex_);
     entries_.clear();
     bytes_ = 0;
-    mmapBytes_ = 0;
     bytesGauge_.set(0.0);
-    mmapBytesGauge_.set(0.0);
     entriesGauge_.set(0.0);
 }
 
@@ -322,13 +288,6 @@ GenomeStore::bytes() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return bytes_;
-}
-
-size_t
-GenomeStore::mmapBytes() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return mmapBytes_;
 }
 
 size_t

@@ -5,13 +5,12 @@
  * reference scans shared immutable memory instead of re-parsing FASTA.
  *
  * Genome identity is a typed GenomeRef (stable id + source kind:
- * in-memory | FASTA file | packed ".2bit" file). Packed refs are
- * loaded through
- * genome::PackedFile — mmap on POSIX — and the store keeps the mapping
- * handle alive for the cache entry's lifetime, so N shard workers
- * naming one packed reference share a single physical copy of the
- * packed payload (the `store.mmap_bytes` gauge) on top of the one
- * shared decoded Sequence.
+ * in-memory | FASTA file | packed ".2bit" file). FASTA refs decode
+ * with genome::FastaStreamReader — the reader streamed searches use,
+ * so a loaded and a streamed file are the same genome. Packed refs
+ * are mapped through genome::PackedFile and decoded once; every
+ * request then shares the decoded Sequence, and the mapping is
+ * released as soon as it has been decoded.
  *
  * Load-once semantics: concurrent tryLoad() calls for one ref share
  * a single parse — the first caller runs the loader while the racers
@@ -27,7 +26,7 @@
  *
  * Metrics (metricsSnapshot()): `store.hits`, `store.misses`,
  * `store.loads`, `store.evictions`, `store.bytes`, `store.entries`,
- * `store.mmap_bytes`, `store.deadline_exceeded`.
+ * `store.deadline_exceeded`.
  */
 
 #ifndef CRISPR_CORE_GENOME_STORE_HPP_
@@ -44,7 +43,6 @@
 #include "common/deadline.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
-#include "genome/packed.hpp"
 #include "genome/sequence.hpp"
 
 namespace crispr::core {
@@ -57,14 +55,14 @@ enum class GenomeSource : uint8_t
 {
     Memory,     //!< an in-store sequence put() under a chosen id
     FastaFile,  //!< a FASTA path, parsed + concatenated on first load
-    PackedFile, //!< a ".2bit" packed file, mmap-shared across workers
+    PackedFile, //!< a ".2bit" packed file, mapped + decoded on first load
 };
 
 /**
  * Typed genome identity: a stable id plus its source kind. This is
- * the one way requests, the service, and the shard coordinator name
- * a reference (RequestOptions::genomeRef). Two refs are the same
- * genome iff their key()s agree.
+ * the one way requests and the service name a reference
+ * (RequestOptions::genomeRef). Two refs are the same genome iff their
+ * key()s agree.
  */
 struct GenomeRef
 {
@@ -118,10 +116,11 @@ class GenomeStore
      * Resolve a typed ref: the cached sequence under ref.key(), or
      * the result of loading it from its source. Memory refs never
      * load — an absent memory ref is InvalidArgument (put() it
-     * first). FASTA refs parse the file (`lenient` skips malformed
-     * records); packed refs mmap + decode it, retaining the mapping
-     * for the entry's lifetime (`store.mmap_bytes`). Load-once and
-     * deadline semantics are those of tryGetOrLoad().
+     * first). FASTA refs decode the file with FastaStreamReader
+     * (`lenient` as in FastaStreamOptions; a lenient load is cached
+     * apart from a strict one of the same path); packed refs map and
+     * decode it. Load-once and deadline semantics are those of
+     * tryGetOrLoad().
      */
     common::Expected<SharedSequence>
     tryLoad(const GenomeRef &ref, bool lenient = false,
@@ -161,8 +160,6 @@ class GenomeStore
     void clear();
 
     size_t bytes() const;     //!< decoded bytes currently cached
-    /** Bytes resident via packed-file mappings (shared, not heap). */
-    size_t mmapBytes() const;
     size_t entryCount() const;
     size_t hits() const;
     size_t misses() const;
@@ -181,15 +178,6 @@ class GenomeStore
   private:
     using LoadResult = common::Expected<SharedSequence>;
 
-    /** A loader's full product: the sequence plus, for packed refs,
-     *  the mapping handle the entry must keep alive. */
-    struct Loaded
-    {
-        genome::Sequence seq;
-        std::shared_ptr<const genome::PackedFile> mapped;
-    };
-    using RichLoader = std::function<common::Expected<Loaded>()>;
-
     struct Entry
     {
         std::string key;
@@ -200,18 +188,11 @@ class GenomeStore
         /** Decoded size once ready; 0 while the load is in flight. */
         size_t bytes = 0;
         bool ready = false;
-        /** Packed-file mapping pinned for the entry's lifetime. */
-        std::shared_ptr<const genome::PackedFile> mapped;
-        size_t mmapBytes = 0;
     };
-
-    common::Expected<SharedSequence>
-    tryGetOrLoadImpl(const std::string &key, const RichLoader &loader,
-                     const common::Deadline &deadline);
 
     /** Drop ready LRU entries until the byte budget holds. */
     void evictOverBudgetLocked();
-    /** Release an entry's bookkeeping (bytes + mmap accounting). */
+    /** Release an entry's byte accounting. */
     void dropEntryBytesLocked(const Entry &entry);
     std::list<Entry>::iterator findLocked(const std::string &key);
 
@@ -220,7 +201,6 @@ class GenomeStore
     mutable std::mutex mutex_;
     std::list<Entry> entries_; //!< front = most recently used
     size_t bytes_ = 0;         //!< sum of ready entries' bytes
-    size_t mmapBytes_ = 0;     //!< sum of ready entries' mapped bytes
     uint64_t nextId_ = 1;
 
     mutable common::MetricsRegistry metrics_;
@@ -231,7 +211,6 @@ class GenomeStore
     common::Counter deadlineExceeded_;
     common::Gauge bytesGauge_;
     common::Gauge entriesGauge_;
-    common::Gauge mmapBytesGauge_;
 };
 
 } // namespace crispr::core

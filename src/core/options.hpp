@@ -12,14 +12,9 @@
  * default inherits the service's `ServiceOptions::defaults`; a service
  * field left at its built-in default leaves the built-in in force.
  *
- * Every field here except `scanRange` and the ranked-report knobs is
- * pure tuning — it may change how a pass executes, never which events
- * it reports (tested). The exception, `scanRange`, restricts a scan
- * to a genome interval and therefore *is* result-affecting: it exists
- * for the shard coordinator (core/shard.hpp), which relies on
- * disjoint emit ranges merging back into the whole-genome result, and
- * it participates in the service's coalescing key for exactly that
- * reason. The ranked-report knobs (`scoreThreshold`, `topK`) shape
+ * Every field here except the ranked-report knobs is pure tuning — it
+ * may change how a pass executes, never which events it reports
+ * (tested). The ranked-report knobs (`scoreThreshold`, `topK`) shape
  * only the derived `SearchResult::ranked` listing — the verified
  * `hits` list is never filtered by them.
  */
@@ -28,7 +23,6 @@
 #define CRISPR_CORE_OPTIONS_HPP_
 
 #include <cstddef>
-#include <cstdint>
 
 #include "common/deadline.hpp"
 #include "common/trace.hpp"
@@ -39,27 +33,6 @@ class Executor;
 } // namespace crispr::common
 
 namespace crispr::core {
-
-/**
- * Half-open genome interval [begin, end) a scan emits events for.
- * The default {0, 0} means the whole sequence. A non-whole range is
- * seam-safe: the scan re-reads up to overlap (longest pattern - 1)
- * codes *before* `begin` so a site straddling the lower boundary is
- * still matched, but only events whose end index lies inside
- * [begin, end) are emitted — the same ownership rule ChunkedScanner
- * applies between chunks, lifted to shard boundaries. Ranges are
- * clamped to the sequence length.
- */
-struct ScanRange
-{
-    uint64_t begin = 0;
-    uint64_t end = 0;
-
-    /** True for the default whole-sequence range. */
-    bool whole() const { return begin == 0 && end == 0; }
-
-    bool operator==(const ScanRange &) const = default;
-};
 
 /**
  * The shared execution-tuning layer. See the file comment for the
@@ -95,20 +68,8 @@ struct ExecutionOptions
      */
     common::Executor *executor = nullptr;
 
-    /**
-     * Benchmark baseline only: spawn fresh threads per scan (the
-     * pre-executor behaviour) instead of using the shared pool.
-     */
-    bool spawnThreads = false;
-
     /** Emit-zone size per chunk when scanning chunked or streamed. */
     size_t chunkSize = 4 << 20;
-
-    /**
-     * Genome interval this scan emits events for (default: whole).
-     * Set by the shard coordinator; see ScanRange for seam semantics.
-     */
-    ScanRange scanRange;
 
     /**
      * Cooperative deadline / cancel token: checked between chunks (and

@@ -65,15 +65,14 @@ struct CompileOptions
 
 /**
  * The runtime half of a search configuration: how a scan executes —
- * none of it affects which compilation serves the request, and (with
- * the one documented exception of `scanRange`, the shard coordinator's
- * emit-interval restriction) none of it affects what hits come back
- * (geometry-independence is tested), only how the pass runs. The
- * execution-tuning knobs themselves (threads, simdTier, executor,
- * chunkSize, deadline, retries, trace, scanRange) live in the shared
- * ExecutionOptions base (core/options.hpp), which ChunkedScanOptions
- * inherits and ServiceOptions embeds as its default layer — one
- * definition instead of three per-site copies.
+ * none of it affects which compilation serves the request, and none
+ * of it affects what hits come back (geometry-independence is
+ * tested), only how the pass runs. The execution-tuning knobs
+ * themselves (threads, simdTier, executor, chunkSize, deadline,
+ * retries, trace) live in the shared ExecutionOptions base
+ * (core/options.hpp), which ChunkedScanOptions inherits and
+ * ServiceOptions embeds as its default layer — one definition instead
+ * of three per-site copies.
  */
 struct RuntimeOptions : ExecutionOptions
 {
@@ -87,8 +86,11 @@ struct RuntimeOptions : ExecutionOptions
     std::vector<EngineKind> fallbacks;
 
     /**
-     * Streamed-FASTA leniency: skip malformed records (counted in the
-     * `parse.records_dropped` metric) instead of failing the search.
+     * FASTA leniency, for streamed searches and for FASTA refs loaded
+     * through a GenomeStore (both decode with FastaStreamReader): skip
+     * malformed input instead of failing — a nameless record whole, a
+     * record with an invalid character from that character on.
+     * Streamed searches count the skips in `parse.records_dropped`.
      */
     bool lenientFasta = false;
 

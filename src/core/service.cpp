@@ -24,8 +24,7 @@ namespace {
 /**
  * The request > service-default > built-in precedence for the shared
  * execution layer: a request field still at its built-in default
- * inherits the service's value. `scanRange` is deliberately exempt —
- * it is result-affecting and owned by the request (shard coordinator).
+ * inherits the service's value.
  */
 void
 applyDefaultExecution(ExecutionOptions &exec,
@@ -38,8 +37,6 @@ applyDefaultExecution(ExecutionOptions &exec,
         exec.simdTier = defaults.simdTier;
     if (exec.executor == nullptr)
         exec.executor = defaults.executor;
-    if (exec.spawnThreads == builtin.spawnThreads)
-        exec.spawnThreads = defaults.spawnThreads;
     if (exec.chunkSize == builtin.chunkSize)
         exec.chunkSize = defaults.chunkSize;
     if (!exec.deadline.limited())
@@ -59,9 +56,12 @@ applyDefaultExecution(ExecutionOptions &exec,
         exec.topK = defaults.topK;
 }
 
-} // namespace
-
-common::Expected<SharedSequence>
+/**
+ * The genome a request names: `genome` when set, else `genomeRef`
+ * loaded through `store` under the request's leniency and deadline.
+ * InvalidArgument when the request names neither.
+ */
+Expected<SharedSequence>
 resolveRequestGenome(const RequestOptions &options, GenomeStore &store)
 {
     if (options.genome)
@@ -74,6 +74,8 @@ resolveRequestGenome(const RequestOptions &options, GenomeStore &store)
                          options.config.deadline);
 }
 
+} // namespace
+
 SearchService::SearchService(ServiceOptions options,
                              std::shared_ptr<GenomeStore> store)
     : options_(options),
@@ -85,6 +87,7 @@ SearchService::SearchService(ServiceOptions options,
       coalesced_(metrics_.counter("service.coalesced")),
       batchSplits_(metrics_.counter("service.batch_splits")),
       expired_(metrics_.counter("service.expired")),
+      partials_(metrics_.counter("service.partials")),
       rejected_(metrics_.counter("service.rejected")),
       shed_(metrics_.counter("service.shed")),
       degraded_(metrics_.counter("service.degraded")),
@@ -454,11 +457,6 @@ SearchService::coalescingKey(const Pending &request)
         << static_cast<int>(request.config.engine);
     for (EngineKind kind : request.config.fallbacks)
         key << ',' << static_cast<int>(kind);
-    // scanRange is the one result-affecting execution field (shard
-    // emit intervals): requests scanning different ranges must never
-    // share a pass.
-    key << '|' << request.config.scanRange.begin << '-'
-        << request.config.scanRange.end;
     key << '|' << compileOptionsKey(request.config.compile());
     return key.str();
 }
@@ -517,7 +515,7 @@ SearchService::executeGroup(std::vector<Pending> group)
     for (Pending &member : group) {
         if (member.config.deadline.expired()) {
             expired_.inc();
-            member.complete(expiredResult(member));
+            finish(member, expiredResult(member));
         } else {
             live.push_back(std::move(member));
         }
@@ -576,8 +574,7 @@ SearchService::expiredResult(const Pending &member)
         member.config.deadline.cancelled() ? 1.0 : 0.0;
     result.timedOut = true;
     // A ranked request stays a ranked request even when it never
-    // dispatched: the (empty) listing keeps its mode flag so gathers
-    // that mix expired and served shards merge consistently.
+    // dispatched: the (empty) listing keeps its mode flag.
     result.rankedMode = member.config.rankedRequested();
     return result;
 }
@@ -741,7 +738,7 @@ SearchService::executeMerged(std::vector<Pending> members)
             member_result.run.metrics["search.ranked"] =
                 static_cast<double>(member_result.ranked.size());
         }
-        members[i].complete(std::move(member_result));
+        finish(members[i], std::move(member_result));
     }
 }
 
@@ -750,22 +747,28 @@ SearchService::executeSingle(Pending member)
 {
     if (member.config.deadline.expired()) {
         expired_.inc();
-        member.complete(expiredResult(member));
+        finish(member, expiredResult(member));
         return;
     }
     SearchSession session(member.guides, member.config);
     Expected<SearchResult> result =
         session.trySearch(*member.genome);
-    if (!result.ok()) {
-        member.complete(result.error());
-        return;
+    if (result.ok()) {
+        SearchResult &single = result.value();
+        single.run.metrics["service.batch_requests"] = 1.0;
+        single.run.metrics["service.batch_guides"] =
+            static_cast<double>(member.guides.size());
+        single.run.metrics["service.coalesced"] = 0.0;
     }
-    SearchResult single = std::move(result).value();
-    single.run.metrics["service.batch_requests"] = 1.0;
-    single.run.metrics["service.batch_guides"] =
-        static_cast<double>(member.guides.size());
-    single.run.metrics["service.coalesced"] = 0.0;
-    member.complete(std::move(single));
+    finish(member, std::move(result));
+}
+
+void
+SearchService::finish(Pending &member, Expected<SearchResult> result)
+{
+    if (result.ok() && result.value().timedOut)
+        partials_.inc();
+    member.complete(std::move(result));
 }
 
 ServiceHealth
@@ -788,7 +791,6 @@ SearchService::health() const
     out.executorQueueDepth =
         common::Executor::shared().pendingCount();
     out.storeBytes = store_->bytes();
-    out.storeMmapBytes = store_->mmapBytes();
     out.storeEntries = store_->entryCount();
     out.breakers = breakers_->stateNames();
     return out;

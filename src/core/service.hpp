@@ -90,8 +90,8 @@ struct ServiceOptions
      * request whose execution field is still at its built-in default
      * inherits the value set here (request > service default >
      * built-in; the precedence contract documented in crispr.hpp).
-     * `scanRange` is exempt — it is result-affecting and stays
-     * strictly per-request (the shard coordinator owns it).
+     * ShardedSearchService sets `threads` here to its shard count
+     * when the caller left it at the built-in 1.
      */
     ExecutionOptions defaults;
 
@@ -181,11 +181,7 @@ struct ServiceHealth
     bool pressured = false;      //!< degraded mode active
     bool accepting = true;       //!< queue bounds not currently hit
     size_t executorQueueDepth = 0; //!< process-wide pool backlog
-    size_t storeBytes = 0;         //!< heap-decoded genome bytes
-    /** Bytes resident via packed-file mmaps — shared across workers
-     *  (one physical copy), reported separately from the decoded
-     *  heap so operators can see the sharing win. */
-    size_t storeMmapBytes = 0;
+    size_t storeBytes = 0;         //!< decoded genome bytes
     size_t storeEntries = 0;
     /** Engine -> breaker state name ("closed"/"half_open"/"open"). */
     std::map<std::string, std::string> breakers;
@@ -203,8 +199,8 @@ struct RequestOptions
     /**
      * Alternative to `genome`: a typed reference (in-memory key,
      * FASTA path, or packed ".2bit" file) resolved through the
-     * service's GenomeStore at submit time (load-once, LRU-cached;
-     * packed refs are mmap-shared). `genome` wins when both are set.
+     * service's GenomeStore at submit time (load-once, LRU-cached).
+     * `genome` wins when both are set.
      */
     GenomeRef genomeRef;
 
@@ -215,15 +211,6 @@ struct RequestOptions
      */
     SearchConfig config;
 };
-
-/**
- * The genome a request names: `genome` when set, else `genomeRef`
- * loaded through `store` under the request's leniency and deadline.
- * InvalidArgument when the request names neither. SearchService and
- * ShardedSearchService both resolve requests through this.
- */
-common::Expected<SharedSequence>
-resolveRequestGenome(const RequestOptions &options, GenomeStore &store);
 
 /** The batching search front end. */
 class SearchService
@@ -290,6 +277,9 @@ class SearchService
     size_t shedCount() const { return shed_.value(); }
     /** Batches whose engine=auto was pinned cheap under pressure. */
     size_t degradedCount() const { return degraded_.value(); }
+    /** Requests completed with `timedOut` set: expired before
+     *  dispatch, expired by demux, or cut short mid-scan. */
+    size_t partialCount() const { return partials_.value(); }
 
   private:
     using Completion =
@@ -325,6 +315,8 @@ class SearchService
     void executeMerged(std::vector<Pending> members);
     /** Per-request serial fallback after a failed merged run. */
     void executeSingle(Pending member);
+    /** Complete a dispatched member, counting a timed-out result. */
+    void finish(Pending &member, common::Expected<SearchResult> result);
 
     static std::string coalescingKey(const Pending &request);
     static common::Deadline
@@ -360,6 +352,7 @@ class SearchService
     common::Counter coalesced_;
     common::Counter batchSplits_;
     common::Counter expired_;
+    common::Counter partials_;
     common::Counter rejected_;
     common::Counter shed_;
     common::Counter degraded_;

@@ -235,15 +235,12 @@ scanWith(const Engine &engine,
             .withContext("engine", engine.name());
 
     // A deadline or retry budget routes chunk-capable engines through
-    // the chunked pipeline even when serial, for per-chunk checks; a
-    // non-whole scanRange requires it (only the chunked path knows the
-    // emit-zone seam rule). Device-model engines consume the whole
-    // stream regardless — the shard coordinator's merge dedups their
-    // repeated full-genome results, so identity still holds.
+    // the chunked pipeline even when serial, for per-chunk checks.
+    // Device-model engines consume the whole stream regardless.
     const bool chunked =
         engine.supportsChunkedScan() &&
         (config.threads != 1 || config.deadline.limited() ||
-         config.scanRetries > 0 || !config.scanRange.whole());
+         config.scanRetries > 0);
     if (chunked) {
         const ChunkedScanOptions opts = chunkOptions(config);
         if (auto st = ChunkedScanner::validate(engine, compiled, opts);

@@ -14,15 +14,15 @@
  *   crispr::core::SearchService service;     // batching server front end
  *   auto fut = service.submit(guides, request);
  *   crispr::core::ShardedSearchService sharded({.shards = 4});
- *   auto f2 = sharded.submit(guides, request); // scatter-gather serving
+ *   auto f2 = sharded.submit(guides, request); // 4 scan lanes each
  * @endcode
  *
  * Execution-option precedence (core/options.hpp): a request field
  * still at its built-in default inherits the service-wide value
  * (`ServiceOptions::defaults`), which in turn falls back to the
- * built-in — request > service default > built-in. `scanRange` is the
- * one exception: it is result-affecting, never inherited, and owned
- * by the shard coordinator when one is serving.
+ * built-in — request > service default > built-in. A
+ * ShardedSearchService is a service whose `threads` default is its
+ * shard count.
  */
 
 #ifndef CRISPR_CRISPR_HPP_

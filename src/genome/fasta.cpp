@@ -10,33 +10,16 @@
 namespace crispr::genome {
 
 std::vector<FastaRecord>
-readFasta(std::istream &in, const FastaParseOptions &options,
-          size_t *records_dropped)
+readFasta(std::istream &in)
 {
     std::vector<FastaRecord> records;
     std::string line;
     std::string pending; // accumulated sequence text of the open record
-    bool have_record = false;
-    bool record_bad = false; // lenient: drop the open record at flush
-    size_t dropped = 0;
-    bool dropped_headerless = false;
 
     auto flush = [&] {
-        if (!have_record)
-            return;
-        if (record_bad) {
-            records.pop_back();
-            ++dropped;
-            record_bad = false;
-        } else {
+        if (!records.empty())
             records.back().seq = Sequence::fromString(pending);
-        }
         pending.clear();
-    };
-
-    // A character the decoder accepts (base, soft-mask, IUPAC).
-    auto valid_base = [](char c) {
-        return baseCode(c) != kCodeInvalid || iupacMask(c) != 0;
     };
 
     size_t line_no = 0;
@@ -59,58 +42,27 @@ readFasta(std::istream &in, const FastaParseOptions &options,
                 if (rest != std::string::npos)
                     rec.comment = header.substr(rest);
             }
-            if (rec.name.empty()) {
-                if (!options.lenient)
-                    fatal("FASTA line %zu: empty record name", line_no);
-                // Open a placeholder so the record's lines are
-                // attributed to it, then drop it whole at flush.
-                rec.name = "?";
-                record_bad = true;
-            }
+            if (rec.name.empty())
+                fatal("FASTA line %zu: empty record name", line_no);
             records.push_back(std::move(rec));
-            have_record = true;
             continue;
         }
-        if (!have_record) {
-            if (!options.lenient)
-                fatal("FASTA line %zu: sequence data before any '>' "
-                      "header",
-                      line_no);
-            if (!dropped_headerless) {
-                ++dropped; // the headerless prefix, counted once
-                dropped_headerless = true;
-            }
-            continue;
-        }
-        std::string kept;
-        kept.reserve(line.size());
+        if (records.empty())
+            fatal("FASTA line %zu: sequence data before any '>' header",
+                  line_no);
         for (char c : line) {
             if (c == ' ' || c == '\t')
                 continue;
-            if (!valid_base(c)) {
-                if (!options.lenient)
-                    fatal("FASTA line %zu: invalid character '%c'",
-                          line_no, c);
-                record_bad = true;
-                break;
-            }
-            kept += c;
+            if (baseCode(c) == kCodeInvalid && iupacMask(c) == 0)
+                fatal("FASTA line %zu: invalid character '%c'", line_no,
+                      c);
+            pending += c;
         }
-        if (!record_bad)
-            pending += kept;
     }
     flush();
-    if (records_dropped)
-        *records_dropped = dropped;
     if (records.empty())
         fatal("FASTA input contains no records");
     return records;
-}
-
-std::vector<FastaRecord>
-readFasta(std::istream &in)
-{
-    return readFasta(in, FastaParseOptions{});
 }
 
 std::vector<FastaRecord>

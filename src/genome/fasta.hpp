@@ -24,30 +24,16 @@ struct FastaRecord
     Sequence seq;
 };
 
-/** Whole-file parser options. */
-struct FastaParseOptions
-{
-    /**
-     * Skip malformed records (empty name, invalid sequence characters,
-     * headerless leading data) instead of raising; each skipped record
-     * increments *records_dropped.
-     */
-    bool lenient = false;
-};
-
 /**
  * Parse all records from a FASTA stream.
  * Handles multi-record files, CRLF line endings, blank lines, stray
  * whitespace inside sequence lines, lower-case (soft-masked) bases, and
  * degenerate IUPAC letters (mapped to N). A file with no '>' header or
- * with invalid sequence characters raises FatalError — unless
- * options.lenient is set, in which case malformed records are dropped
- * whole and counted.
+ * with invalid sequence characters raises FatalError. (Lenient
+ * decoding lives in FastaStreamReader, the reader GenomeStore and
+ * streamed searches use.)
  */
 std::vector<FastaRecord> readFasta(std::istream &in);
-std::vector<FastaRecord> readFasta(std::istream &in,
-                                   const FastaParseOptions &options,
-                                   size_t *records_dropped = nullptr);
 
 /** Parse all records from a FASTA file on disk. */
 std::vector<FastaRecord> readFastaFile(const std::string &path);

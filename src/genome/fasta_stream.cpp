@@ -33,6 +33,12 @@ FastaStreamReader::tryNext(size_t max_codes, std::vector<uint8_t> &out)
     CRISPR_ASSERT(max_codes > 0);
 
     while (out.size() < max_codes) {
+        if (pendingSeparators_ > 0) {
+            out.push_back(kCodeN);
+            ++offset_;
+            --pendingSeparators_;
+            continue;
+        }
         if (linePos_ >= line_.size()) {
             // Fetch the next non-empty line.
             if (!std::getline(in_, line_)) {
@@ -66,14 +72,14 @@ FastaStreamReader::tryNext(size_t max_codes, std::vector<uint8_t> &out)
                     dropRecord();
                     continue;
                 }
+                // One separator per record boundary, even around an
+                // empty record, as concatenateRecords() inserts them.
                 if (sawRecord_)
-                    pendingSeparator_ = true;
+                    ++pendingSeparators_;
                 sawRecord_ = true;
-                // The record's start offset accounts for the pending
-                // separator that will be emitted first.
+                // The record starts after its pending separator.
                 records_.push_back(RecordInfo{
-                    std::move(name),
-                    offset_ + (pendingSeparator_ ? 1 : 0)});
+                    std::move(name), offset_ + pendingSeparators_});
                 continue;
             }
             if (skippingRecord_) {
@@ -89,12 +95,6 @@ FastaStreamReader::tryNext(size_t max_codes, std::vector<uint8_t> &out)
                 dropRecord();
                 continue;
             }
-        }
-        if (pendingSeparator_) {
-            out.push_back(kCodeN);
-            ++offset_;
-            pendingSeparator_ = false;
-            continue;
         }
         while (linePos_ < line_.size() && out.size() < max_codes) {
             const char c = line_[linePos_++];

@@ -3,8 +3,10 @@
  * Streaming FASTA reader: decodes a (possibly multi-gigabyte)
  * multi-record FASTA into genome-code chunks without materialising the
  * whole reference, inserting the same single-N record separators as
- * concatenateRecords() so chunked scanning over the stream is
- * bit-identical to scanning the concatenated sequence (tested).
+ * concatenateRecords() — one per record boundary, empty records
+ * included — so chunked scanning over the stream is bit-identical to
+ * scanning the concatenated sequence (tested). GenomeStore decodes
+ * FASTA refs with this reader too.
  *
  * Robustness: CRLF line endings, blank lines, and stray whitespace
  * inside sequence lines are accepted in both modes. Malformed input
@@ -78,7 +80,7 @@ class FastaStreamReader
     FastaStreamOptions options_;
     uint64_t offset_ = 0;
     bool sawRecord_ = false;
-    bool pendingSeparator_ = false;
+    size_t pendingSeparators_ = 0; //!< record separators not yet emitted
     bool skippingRecord_ = false; //!< lenient: discard until next '>'
     size_t recordsDropped_ = 0;
     std::string line_;

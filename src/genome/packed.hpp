@@ -7,10 +7,9 @@
  * PackedFile adds the on-disk form (the ".2bit" format, DESIGN.md
  * §14): the same payload behind a fixed little-endian header, written
  * atomically (temp file + rename, like the pattern database) and
- * loaded via mmap on POSIX hosts so N shard workers reading one
- * reference share a single physical copy — the kernel page cache —
- * instead of N decoded heaps. Hosts without mmap fall back to one
- * heap read; the API is identical either way.
+ * loaded via mmap on POSIX hosts, so decoding reads the kernel page
+ * cache instead of a private copy of the file. Hosts without mmap
+ * fall back to one heap read; the API is identical either way.
  *
  * Layout (offsets in bytes, all integers little-endian):
  *   0   char[8]  magic "CRISPR2B"

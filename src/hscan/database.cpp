@@ -1,42 +1,11 @@
 #include "hscan/database.hpp"
 
-#include <cstring>
-
 #include "common/logging.hpp"
 #include "common/serial.hpp"
 #include "hscan/dfa_scanner.hpp"
 #include "hscan/simd_shiftor.hpp"
 
 namespace crispr::hscan {
-
-namespace {
-
-constexpr uint32_t kMagic = 0x43445348; // "HSDC"
-constexpr uint32_t kVersion = 2;
-
-void
-put32(std::vector<uint8_t> &out, uint32_t v)
-{
-    out.push_back(static_cast<uint8_t>(v));
-    out.push_back(static_cast<uint8_t>(v >> 8));
-    out.push_back(static_cast<uint8_t>(v >> 16));
-    out.push_back(static_cast<uint8_t>(v >> 24));
-}
-
-uint32_t
-get32(const std::vector<uint8_t> &in, size_t &pos)
-{
-    if (pos + 4 > in.size())
-        fatal("database blob truncated");
-    uint32_t v = static_cast<uint32_t>(in[pos]) |
-                 static_cast<uint32_t>(in[pos + 1]) << 8 |
-                 static_cast<uint32_t>(in[pos + 2]) << 16 |
-                 static_cast<uint32_t>(in[pos + 3]) << 24;
-    pos += 4;
-    return v;
-}
-
-} // namespace
 
 Database
 Database::compile(std::vector<automata::HammingSpec> specs,
@@ -72,90 +41,6 @@ Database::compile(std::vector<automata::HammingSpec> specs,
     if (db.effective_ == ScanMode::BitParallel)
         db.simdLayout_ = buildShiftOrSoA(db.specs_);
     return db;
-}
-
-std::vector<uint8_t>
-Database::serialize() const
-{
-    std::vector<uint8_t> out;
-    put32(out, kMagic);
-    put32(out, kVersion);
-    put32(out, static_cast<uint32_t>(opts_.mode));
-    put32(out, opts_.maxDfaStates);
-    put32(out, opts_.minimizeDfa ? 1 : 0);
-    put32(out, static_cast<uint32_t>(effective_));
-    put32(out, static_cast<uint32_t>(specs_.size()));
-    for (const auto &s : specs_) {
-        put32(out, static_cast<uint32_t>(s.masks.size()));
-        put32(out, static_cast<uint32_t>(s.maxMismatches));
-        put32(out, static_cast<uint32_t>(s.mismatchLo));
-        put32(out, static_cast<uint32_t>(
-                       std::min<size_t>(s.mismatchHi, UINT32_MAX)));
-        put32(out, s.reportId);
-        for (auto m : s.masks)
-            out.push_back(m);
-    }
-    return out;
-}
-
-Database
-Database::deserialize(const std::vector<uint8_t> &blob)
-{
-    size_t pos = 0;
-    if (get32(blob, pos) != kMagic)
-        fatal("database blob has wrong magic");
-    if (get32(blob, pos) != kVersion)
-        fatal("database blob has unsupported version");
-    DatabaseOptions opts;
-    const uint32_t mode = get32(blob, pos);
-    if (mode > static_cast<uint32_t>(ScanMode::BitParallel))
-        fatal("database blob has invalid scan mode %u", mode);
-    opts.mode = static_cast<ScanMode>(mode);
-    opts.maxDfaStates = get32(blob, pos);
-    if (opts.maxDfaStates > (1u << 24))
-        fatal("database blob DFA budget %u is implausible",
-              opts.maxDfaStates);
-    opts.minimizeDfa = get32(blob, pos) != 0;
-    const uint32_t effective_raw = get32(blob, pos);
-    if (effective_raw > static_cast<uint32_t>(ScanMode::BitParallel))
-        fatal("database blob has invalid effective mode %u",
-              effective_raw);
-    ScanMode effective = static_cast<ScanMode>(effective_raw);
-    uint32_t count = get32(blob, pos);
-    // Every pattern record needs at least its 20-byte fixed header;
-    // validate before any allocation sized from untrusted input.
-    if (count == 0 || static_cast<uint64_t>(count) * 20 >
-                          blob.size() - pos)
-        fatal("database blob pattern count %u is implausible", count);
-
-    std::vector<automata::HammingSpec> specs;
-    specs.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-        automata::HammingSpec s;
-        uint32_t len = get32(blob, pos);
-        if (len == 0 || len > blob.size() - pos)
-            fatal("database blob pattern %u has invalid length %u", i,
-                  len);
-        const uint32_t mm = get32(blob, pos);
-        if (mm > len)
-            fatal("database blob pattern %u has mismatch budget %u "
-                  "over its length", i, mm);
-        s.maxMismatches = static_cast<int>(mm);
-        s.mismatchLo = get32(blob, pos);
-        uint32_t hi = get32(blob, pos);
-        s.mismatchHi = hi == UINT32_MAX ? SIZE_MAX : hi;
-        s.reportId = get32(blob, pos);
-        if (pos + len > blob.size())
-            fatal("database blob truncated in pattern %u", i);
-        s.masks.assign(blob.begin() + pos, blob.begin() + pos + len);
-        pos += len;
-        specs.push_back(std::move(s));
-    }
-    if (pos != blob.size())
-        fatal("database blob has %zu trailing bytes", blob.size() - pos);
-    (void)effective; // recompilation below re-derives the effective mode
-
-    return Database::compile(std::move(specs), opts);
 }
 
 namespace {

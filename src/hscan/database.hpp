@@ -2,7 +2,8 @@
  * @file
  * Compiled pattern database (the analogue of hs_database): a set of
  * Hamming pattern specs compiled once, scanned many times, and
- * serialisable to a byte blob so compilation can be done offline.
+ * serialisable in its compiled form (serializeCompiled, the `.cpdb`
+ * payload) so compilation can be done offline.
  */
 
 #ifndef CRISPR_HSCAN_DATABASE_HPP_
@@ -77,15 +78,6 @@ class Database
     {
         return simdLayout_;
     }
-
-    /** Serialise to a versioned binary blob (specs + options). */
-    std::vector<uint8_t> serialize() const;
-
-    /**
-     * Reconstruct from a blob produced by serialize(). Recompiles the
-     * scan path (blobs are portable; compiled tables are not).
-     */
-    static Database deserialize(const std::vector<uint8_t> &blob);
 
     /**
      * Serialise the *compiled* form: specs + options + the chosen

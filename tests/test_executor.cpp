@@ -337,19 +337,14 @@ TEST(Executor, PoolScanIsBitIdenticalToSerialScan)
     }
 }
 
-// A task submitted with mayBlock (a shard gather join, say) must not
-// be picked up by helping waits — only a dedicated worker may run it.
-// A scan's helper that executed a task which transitively waits on
-// the helper's own thread would deadlock; this pins the skip rule
-// (the deadlock itself needed a shard dispatcher mid-scan to steal a
-// gather whose sub-request was queued behind that same dispatcher).
-TEST(Executor, HelpingWaitsSkipMayBlockTasks)
+// A helping wait with nothing to run blocks on its own future: one
+// completed off the pool (no task left to help with, the lone worker
+// parked) still wakes it, and queued tasks still run meanwhile.
+TEST(Executor, HelpingWaitReturnsWhenAnOffPoolFutureIsReady)
 {
     Executor pool(poolOf(1));
     Gate occupy;
     std::atomic<bool> worker_busy{false};
-    // Park the lone worker so every later task sits in the queue and
-    // the helping wait below is the only possible executor.
     std::future<void> parked = pool.submit([&] {
         worker_busy.store(true);
         occupy.wait();
@@ -357,27 +352,20 @@ TEST(Executor, HelpingWaitsSkipMayBlockTasks)
     while (!worker_busy.load())
         std::this_thread::yield();
 
-    common::TaskOptions blocking;
-    blocking.mayBlock = true;
-    std::atomic<bool> blocking_ran{false};
-    std::future<void> blocked =
-        pool.submit([&] { blocking_ran.store(true); }, blocking);
-    std::future<void> plain = pool.submit([] {});
-
-    // The default (non-opt-in) helping wait drains the plain task —
-    // queued BEHIND the mayBlock one — and leaves the mayBlock task
-    // for the worker.
-    pool.wait(plain);
-    plain.get();
-    EXPECT_FALSE(blocking_ran.load());
-    EXPECT_NE(blocked.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-
-    // An opted-in wait (a coordinator joining its own gathers) may
-    // execute it inline.
-    pool.wait(blocked, /*include_blocking=*/true);
-    blocked.get();
-    EXPECT_TRUE(blocking_ran.load());
+    std::atomic<bool> helped{false};
+    std::future<void> queued = pool.submit([&] { helped.store(true); });
+    std::promise<int> promise;
+    std::future<int> fut = promise.get_future();
+    std::thread producer([&] {
+        while (!helped.load())
+            std::this_thread::yield();
+        promise.set_value(7);
+    });
+    pool.wait(fut);
+    EXPECT_EQ(fut.get(), 7);
+    EXPECT_TRUE(helped.load()); // the wait ran the queued task itself
+    producer.join();
+    queued.get();
     occupy.open();
     parked.get();
 }

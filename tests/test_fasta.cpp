@@ -57,54 +57,6 @@ TEST(Fasta, RejectsEmptyRecordName)
     EXPECT_THROW(readFasta(in), FatalError);
 }
 
-TEST(Fasta, LenientModeDropsMalformedRecordsWhole)
-{
-    // Unlike the streaming reader (which cannot rewind and truncates),
-    // the whole-file parser drops a malformed record entirely: the
-    // leading headerless text, the nameless record, and the record
-    // with an invalid character all vanish, and each is counted.
-    std::istringstream in("ACGT\n"
-                          ">\nTTTT\n"
-                          ">good1\nACGT\n"
-                          ">bad\nGG1GG\nCCCC\n"
-                          ">good2 keep me\nTT TT\n");
-    size_t dropped = 0;
-    auto recs = readFasta(in, FastaParseOptions{/*lenient=*/true},
-                          &dropped);
-    EXPECT_EQ(dropped, 3u);
-    ASSERT_EQ(recs.size(), 2u);
-    EXPECT_EQ(recs[0].name, "good1");
-    EXPECT_EQ(recs[0].seq.str(), "ACGT");
-    EXPECT_EQ(recs[1].name, "good2");
-    EXPECT_EQ(recs[1].comment, "keep me");
-    EXPECT_EQ(recs[1].seq.str(), "TTTT");
-}
-
-TEST(Fasta, LenientModeIsANoOpOnCleanInput)
-{
-    const std::string text = ">chr1\nACGT\r\n\nacgtRYn\n>chr2\nTTTT\n";
-    std::istringstream strict_in(text);
-    auto want = readFasta(strict_in);
-
-    std::istringstream in(text);
-    size_t dropped = 99;
-    auto got = readFasta(in, FastaParseOptions{/*lenient=*/true},
-                         &dropped);
-    EXPECT_EQ(dropped, 0u);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].name, want[i].name);
-        EXPECT_EQ(got[i].seq, want[i].seq);
-    }
-}
-
-TEST(Fasta, LenientModeStillRequiresAtLeastOneRecord)
-{
-    std::istringstream in(">\nACGT\n");
-    EXPECT_THROW(readFasta(in, FastaParseOptions{/*lenient=*/true}),
-                 FatalError);
-}
-
 TEST(Fasta, RoundTripsThroughWriter)
 {
     std::vector<FastaRecord> recs;

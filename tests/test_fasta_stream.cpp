@@ -45,6 +45,34 @@ TEST(FastaStream, MatchesConcatenatedWholeFileRead)
             << "chunk " << chunk;
 }
 
+// An empty record still owns its separator: consecutive record
+// boundaries must not collapse into one N, or every offset after the
+// empty record is off by one between a loaded and a streamed genome.
+TEST(FastaStream, EmptyRecordKeepsItsSeparator)
+{
+    const std::string text = ">r1\nACGT\n>r2\n>r3\nGGCC\n";
+    std::istringstream in(text);
+    const Sequence want = concatenateRecords(readFasta(in));
+    ASSERT_EQ(want, Sequence::fromString("ACGTNNGGCC"));
+    for (size_t chunk : {1u, 4u, 5u, 100u})
+        EXPECT_EQ(streamAll(text, chunk), want) << "chunk " << chunk;
+
+    // A trailing empty record keeps its separator too.
+    const std::string trailing = ">r1\nACGT\n>r2\n";
+    std::istringstream trailing_in(trailing);
+    EXPECT_EQ(streamAll(trailing, 3),
+              concatenateRecords(readFasta(trailing_in)));
+
+    std::istringstream offsets_in(text);
+    FastaStreamReader reader(offsets_in);
+    std::vector<uint8_t> buf;
+    while (reader.next(3, buf)) {
+    }
+    ASSERT_EQ(reader.records().size(), 3u);
+    EXPECT_EQ(reader.records()[1].start, 5u);
+    EXPECT_EQ(reader.records()[2].start, 6u);
+}
+
 TEST(FastaStream, TracksRecordOffsets)
 {
     std::istringstream in(sampleFasta());
@@ -133,6 +161,14 @@ TEST(FastaStream, LenientModeSkipsMalformedRecords)
     EXPECT_EQ(reader.records()[0].name, "good1");
     EXPECT_EQ(reader.records()[1].name, "bad");
     EXPECT_EQ(reader.records()[2].name, "good2");
+
+    // Leniency still needs at least one well-formed record.
+    std::istringstream none(">\nACGT\n");
+    FastaStreamReader none_reader(none,
+                                  FastaStreamOptions{/*lenient=*/true});
+    auto got = none_reader.tryNext(10, buf);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.error().code(), common::ErrorCode::ParseError);
 }
 
 TEST(FastaStream, LenientModeStillAcceptsCleanInput)

@@ -1,16 +1,19 @@
 /** @file Failure-injection / fuzz tests: the parsers must reject
- *  arbitrary malformed input with FatalError — never crash, never
- *  raise PanicError (which would indicate an internal bug). */
+ *  arbitrary malformed input with FatalError or a typed error — never
+ *  crash, never raise PanicError (which would indicate an internal
+ *  bug). */
 
+#include <span>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "ap/anml.hpp"
 #include "common/logging.hpp"
+#include "common/serial.hpp"
 #include "genome/fasta.hpp"
 #include "genome/fasta_stream.hpp"
-#include "hscan/database.hpp"
+#include "hscan/multipattern.hpp"
 #include "test_util.hpp"
 
 namespace crispr {
@@ -113,31 +116,82 @@ TEST_P(ParserFuzz, AnmlParsersNeverCrash)
     }
 }
 
+/** Decode a `.cpdb` database blob; whatever it accepts must scan.
+ *  @return whether the decoder accepted the blob. */
+bool
+decodeAndScan(std::span<const uint8_t> blob, const genome::Sequence &seq,
+              const std::string &what)
+{
+    bool accepted = false;
+    expectGraceful(
+        [&] {
+            auto db = hscan::Database::deserializeCompiled(blob);
+            accepted = db.ok();
+            if (accepted)
+                hscan::Scanner(db.value()).scanAll(seq);
+        },
+        what);
+    return accepted;
+}
+
 TEST_P(ParserFuzz, DatabaseDeserializeNeverCrashes)
 {
+    // The envelope serializeCompiled() seals its payload in.
+    constexpr const char *kKind = "hscan-db";
+    constexpr uint32_t kVersion = 1;
     const uint64_t seed =
         test::testSeed(static_cast<uint64_t>(GetParam()) * 149);
     Rng rng(seed);
-    // Mutated valid blobs plus pure garbage.
-    auto spec = crispr::test::randomGuideSpec(rng, 8, 3, 1, 0);
-    auto blob =
-        hscan::Database::compile(std::vector{spec}).serialize();
-    for (int trial = 0; trial < 40; ++trial) {
-        auto mutated = blob;
-        const size_t flips = 1 + rng.below(8);
-        for (size_t f = 0; f < flips && !mutated.empty(); ++f)
-            mutated[rng.below(mutated.size())] =
-                static_cast<uint8_t>(rng.below(256));
-        expectGraceful(
-            [&] { hscan::Database::deserialize(mutated); },
-            fuzzCase("Database::deserialize", seed, trial));
+    const genome::Sequence seq = test::randomGenome(rng, 512);
+    std::vector<automata::HammingSpec> specs;
+    for (uint32_t i = 0; i < 2; ++i)
+        specs.push_back(test::randomGuideSpec(rng, 8, 3, 1, i));
 
-        std::vector<uint8_t> garbage(rng.below(64));
-        for (auto &b : garbage)
-            b = static_cast<uint8_t>(rng.below(256));
-        expectGraceful(
-            [&] { hscan::Database::deserialize(garbage); },
-            fuzzCase("Database::deserialize(garbage)", seed, trial));
+    for (hscan::ScanMode mode :
+         {hscan::ScanMode::Dfa, hscan::ScanMode::BitParallel}) {
+        hscan::DatabaseOptions opts;
+        opts.mode = mode;
+        const std::vector<uint8_t> blob =
+            hscan::Database::compile(specs, opts).serializeCompiled();
+        auto opened = common::openBlob(kKind, kVersion, blob);
+        ASSERT_TRUE(opened.ok()) << opened.error().str();
+        const std::vector<uint8_t> payload(opened.value().begin(),
+                                           opened.value().end());
+        // Re-sealing the clean payload must reproduce the blob, so the
+        // mutations below really get past the content hash.
+        ASSERT_EQ(common::sealBlob(kKind, kVersion, payload), blob);
+
+        const std::string path =
+            mode == hscan::ScanMode::Dfa ? "dfa" : "bit-parallel";
+        size_t accepted = 0;
+        for (int trial = 0; trial < 40; ++trial) {
+            // Mutated payloads, re-sealed, sometimes truncated.
+            auto mutated = payload;
+            const size_t flips = 1 + rng.below(8);
+            for (size_t f = 0; f < flips; ++f)
+                mutated[rng.below(mutated.size())] =
+                    static_cast<uint8_t>(rng.below(256));
+            if (rng.chance(0.25))
+                mutated.resize(rng.below(mutated.size()));
+            accepted += decodeAndScan(
+                common::sealBlob(kKind, kVersion, mutated), seq,
+                fuzzCase(("deserializeCompiled " + path).c_str(), seed,
+                         trial));
+
+            std::vector<uint8_t> garbage(rng.below(64));
+            for (auto &b : garbage)
+                b = static_cast<uint8_t>(rng.below(256));
+            decodeAndScan(garbage, seq,
+                          fuzzCase("deserializeCompiled(garbage)", seed,
+                                   trial));
+        }
+        // Bit-parallel blobs survive many mutations (a flipped mask or
+        // report id still decodes), so some must have reached the
+        // scanner; the DFA path validates its tables and rarely
+        // accepts one.
+        if (mode == hscan::ScanMode::BitParallel) {
+            EXPECT_GT(accepted, 0u) << "seed=" << seed;
+        }
     }
 }
 

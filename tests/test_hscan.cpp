@@ -57,31 +57,47 @@ TEST(Database, SerializeRoundTrip)
 {
     Rng rng(4);
     auto specs = smallSpecs(rng, 2);
-    Database db = Database::compile(specs);
-    auto blob = db.serialize();
-    Database back = Database::deserialize(blob);
-    EXPECT_EQ(back.effectiveMode(), db.effectiveMode());
-    ASSERT_EQ(back.specs().size(), specs.size());
-    for (size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_EQ(back.specs()[i].masks, specs[i].masks);
-        EXPECT_EQ(back.specs()[i].maxMismatches,
-                  specs[i].maxMismatches);
-        EXPECT_EQ(back.specs()[i].mismatchLo, specs[i].mismatchLo);
-        EXPECT_EQ(back.specs()[i].mismatchHi, specs[i].mismatchHi);
-        EXPECT_EQ(back.specs()[i].reportId, specs[i].reportId);
+    for (ScanMode mode : {ScanMode::Dfa, ScanMode::BitParallel}) {
+        DatabaseOptions opts;
+        opts.mode = mode;
+        opts.maxDfaStates = 1u << 20;
+        Database db = Database::compile(specs, opts);
+        auto back = Database::deserializeCompiled(db.serializeCompiled());
+        ASSERT_TRUE(back.ok()) << back.error().str();
+        EXPECT_EQ(back.value().effectiveMode(), db.effectiveMode());
+        EXPECT_EQ(back.value().dfaPrototype().has_value(),
+                  mode == ScanMode::Dfa);
+        ASSERT_EQ(back.value().specs().size(), specs.size());
+        for (size_t i = 0; i < specs.size(); ++i) {
+            const HammingSpec &got = back.value().specs()[i];
+            EXPECT_EQ(got.masks, specs[i].masks);
+            EXPECT_EQ(got.maxMismatches, specs[i].maxMismatches);
+            EXPECT_EQ(got.mismatchLo, specs[i].mismatchLo);
+            EXPECT_EQ(got.mismatchHi, specs[i].mismatchHi);
+            EXPECT_EQ(got.reportId, specs[i].reportId);
+        }
     }
 }
 
 TEST(Database, DeserializeRejectsGarbage)
 {
-    EXPECT_THROW(Database::deserialize({1, 2, 3}), FatalError);
+    const std::vector<uint8_t> tiny{1, 2, 3};
+    auto short_blob = Database::deserializeCompiled(tiny);
+    ASSERT_FALSE(short_blob.ok());
+    EXPECT_EQ(short_blob.error().code(), common::ErrorCode::ParseError);
+
     Rng rng(5);
-    auto blob = Database::compile(smallSpecs(rng, 1)).serialize();
+    auto blob =
+        Database::compile(smallSpecs(rng, 1)).serializeCompiled();
     blob.pop_back();
-    EXPECT_THROW(Database::deserialize(blob), FatalError);
+    auto truncated = Database::deserializeCompiled(blob);
+    ASSERT_FALSE(truncated.ok());
+    EXPECT_EQ(truncated.error().code(), common::ErrorCode::ParseError);
     blob.push_back(0);
     blob.push_back(0);
-    EXPECT_THROW(Database::deserialize(blob), FatalError);
+    auto trailing = Database::deserializeCompiled(blob);
+    ASSERT_FALSE(trailing.ok());
+    EXPECT_EQ(trailing.error().code(), common::ErrorCode::ParseError);
 }
 
 TEST(Scanner, BothPathsAgreeWithGolden)

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -213,6 +214,9 @@ TEST(SearchService, DeadlinesStayPerRequestInsideABatch)
 
     auto metrics = service.metricsSnapshot();
     EXPECT_EQ(metrics.at("service.expired"), 2.0);
+    // Both expired members completed timed out; the served one did not.
+    EXPECT_EQ(metrics.at("service.partials"), 2.0);
+    EXPECT_EQ(service.partialCount(), 2u);
 }
 
 // A failing merged compile degrades to per-request serial execution:
@@ -446,6 +450,69 @@ TEST(GenomeStore, LoadErrorsAreNotCached)
         });
     ASSERT_TRUE(recovered.ok());
     EXPECT_EQ(recovered.value()->size(), 500u);
+}
+
+// A leniently loaded FASTA ref is the genome a lenient streamed search
+// scans: a record that turns invalid keeps its valid prefix (and the
+// site planted in it) in both.
+TEST(GenomeStore, LenientFastaLoadMatchesLenientStream)
+{
+    Rng rng(9012);
+    const core::Guide guide = randomGuide(rng, "g");
+    genome::Sequence site = guide.protospacer;
+    site.append(genome::Sequence::fromString("TGG"));
+    std::string text;
+    for (int r = 0; r < 2; ++r) {
+        genome::Sequence chr = test::randomGenome(rng, 2000);
+        genome::plantSite(chr, 500, site);
+        text += ">r" + std::to_string(r) + "\n" + chr.str() + "\n";
+    }
+    text += "ACGT!ACGT\n"; // record r1 turns invalid after its site
+    const std::string path = ::testing::TempDir() + "store_lenient.fa";
+    {
+        std::ofstream out(path);
+        out << text;
+    }
+
+    core::SearchConfig config;
+    config.maxMismatches = 0;
+    config.lenientFasta = true;
+    core::SearchSession session({guide}, config);
+    std::istringstream in(text);
+    const core::SearchResult streamed = session.searchStream(in);
+
+    core::GenomeStore store;
+    auto loaded =
+        store.tryLoad(core::GenomeRef::fasta(path), /*lenient=*/true);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().str();
+    EXPECT_EQ(streamed.hits.size(), 2u);
+    EXPECT_EQ(session.search(*loaded.value()).hits, streamed.hits);
+    std::remove(path.c_str());
+}
+
+// Leniency is part of a FASTA ref's cache identity: a strict load
+// after a lenient one of the same path fails, as it does on a fresh
+// store, instead of returning the leniently decoded genome.
+TEST(GenomeStore, StrictLoadAfterLenientStillRejects)
+{
+    const std::string path = ::testing::TempDir() + "store_strict.fa";
+    {
+        std::ofstream out(path);
+        out << ">r0\nACGTACGT\n>r1\nAC!GT\n";
+    }
+    const core::GenomeRef ref = core::GenomeRef::fasta(path);
+
+    core::GenomeStore store;
+    ASSERT_TRUE(store.tryLoad(ref, /*lenient=*/true).ok());
+    auto strict = store.tryLoad(ref, /*lenient=*/false);
+    ASSERT_FALSE(strict.ok());
+    EXPECT_EQ(strict.error().code(), common::ErrorCode::ParseError);
+
+    core::GenomeStore fresh;
+    auto fresh_strict = fresh.tryLoad(ref);
+    ASSERT_FALSE(fresh_strict.ok());
+    EXPECT_EQ(fresh_strict.error().code(), common::ErrorCode::ParseError);
+    std::remove(path.c_str());
 }
 
 // Soak: 200 requests from 8 client threads across 4 genomes, every

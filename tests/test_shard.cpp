@@ -1,8 +1,8 @@
 /** @file Tests for the sharded serving layer: ShardedSearchService
- *  scatter-gather bit-identity across shard counts and geometries,
- *  seam correctness at shard boundaries, the packed ".2bit" genome
- *  format, mmap load-once sharing under concurrent workers, and
- *  deadline-cut partial gathers. */
+ *  bit-identity across shard (scan-lane) counts and geometries, seam
+ *  correctness at chunk boundaries, the shard-count lane default, the
+ *  packed ".2bit" genome format, load-once sharing under concurrent
+ *  loads, and deadline-cut partial results. */
 
 #include <algorithm>
 #include <filesystem>
@@ -44,7 +44,7 @@ randomGuides(Rng &rng, size_t count)
     return guides;
 }
 
-/** Manual-mode worker options: requests queue until drain(). */
+/** Manual-mode service options: requests queue until drain(). */
 core::ShardOptions
 manualShards(size_t shards)
 {
@@ -73,11 +73,10 @@ struct TempDir
     std::string str() const { return path.string(); }
 };
 
-// The tentpole contract: the merged result of an N-shard
-// scatter-gather is bit-identical to a direct single-session search —
-// hits AND events — at every shard count and under randomized chunk /
-// thread geometry (shard seams may land anywhere relative to chunk
-// seams; neither may show in the result).
+// The shard contract: an N-shard result is bit-identical to a direct
+// single-session search — hits AND events — at every shard count and
+// under randomized chunk geometry, with the lane count inherited from
+// the shard count or set by the request (neither may show).
 TEST(ShardedSearchService, BitIdenticalAcrossShardCounts)
 {
     const uint64_t seed = test::testSeed(9301);
@@ -97,30 +96,32 @@ TEST(ShardedSearchService, BitIdenticalAcrossShardCounts)
         request.genome = genome;
         request.config = config;
         request.config.chunkSize = kChunkSizes[rng.below(3)];
-        request.config.threads = 1u + static_cast<unsigned>(rng.below(3));
+        // Unset (the shard count's lanes) or an explicit 2..3.
+        if (const unsigned draw = static_cast<unsigned>(rng.below(3)))
+            request.config.threads = 1u + draw;
 
         core::ShardedSearchService service(manualShards(shards));
         auto fut = service.trySubmit(guides, request);
         service.drain();
-        auto merged = fut.get();
-        ASSERT_TRUE(merged.ok())
+        auto served = fut.get();
+        ASSERT_TRUE(served.ok())
             << shards << " shards seed=" << seed << ": "
-            << merged.error().message();
-        EXPECT_EQ(merged.value().hits, serial.hits)
+            << served.error().message();
+        EXPECT_EQ(served.value().hits, serial.hits)
             << shards << " shards chunk="
             << request.config.chunkSize
             << " threads=" << request.config.threads
             << " seed=" << seed;
-        EXPECT_EQ(merged.value().run.events, serial.run.events)
+        EXPECT_EQ(served.value().run.events, serial.run.events)
             << shards << " shards seed=" << seed;
-        EXPECT_FALSE(merged.value().timedOut);
-        EXPECT_EQ(service.gatherCount(), 1u);
+        EXPECT_FALSE(served.value().timedOut);
     }
 }
 
-// Seam correctness, adversarially: sites planted straddling every
-// shard boundary are found exactly once — the boundary shard re-reads
-// the seam overlap but only the end-owning shard reports.
+// Seam correctness, adversarially: with the chunk seams on the
+// quarter points, sites planted straddling every seam are found
+// exactly once — the later chunk re-reads the seam overlap but only
+// the end-owning chunk reports.
 TEST(ShardedSearchService, BoundaryStraddlingSitesFoundOnce)
 {
     const uint64_t seed = test::testSeed(9302);
@@ -150,60 +151,28 @@ TEST(ShardedSearchService, BoundaryStraddlingSitesFoundOnce)
     core::RequestOptions request;
     request.genome = genome_ptr;
     request.config.maxMismatches = 0;
+    request.config.chunkSize = kGenomeLen / kShards;
 
     core::ShardedSearchService service(manualShards(kShards));
     auto fut = service.trySubmit({guide}, request);
     service.drain();
-    auto merged = fut.get();
-    ASSERT_TRUE(merged.ok()) << merged.error().message();
+    auto served = fut.get();
+    ASSERT_TRUE(served.ok()) << served.error().message();
 
     core::SearchSession session({guide}, request.config);
     const core::SearchResult serial = session.search(*genome_ptr);
-    EXPECT_EQ(merged.value().hits, serial.hits) << "seed=" << seed;
+    EXPECT_EQ(served.value().hits, serial.hits) << "seed=" << seed;
 
     for (uint64_t start : planted) {
         const size_t copies = static_cast<size_t>(std::count_if(
-            merged.value().hits.begin(), merged.value().hits.end(),
+            served.value().hits.begin(), served.value().hits.end(),
             [&](const core::OffTargetHit &h) {
                 return h.start == start &&
                        h.strand == core::Strand::Forward;
             }));
         EXPECT_EQ(copies, 1u)
-            << "site straddling a shard boundary at " << start
+            << "site straddling a chunk seam at " << start
             << " reported " << copies << " times, seed=" << seed;
-    }
-}
-
-// A caller-restricted scanRange is partitioned, not overridden: the
-// sharded result over [a, b) equals the session's over the same range.
-TEST(ShardedSearchService, CallerScanRangeIsPartitioned)
-{
-    const uint64_t seed = test::testSeed(9303);
-    Rng rng(seed);
-    auto genome = std::make_shared<const genome::Sequence>(
-        test::randomGenome(rng, 16000));
-    auto guides = randomGuides(rng, 2);
-
-    core::SearchConfig config;
-    config.maxMismatches = 2;
-    config.scanRange = core::ScanRange{3000, 13000};
-
-    core::SearchSession session(guides, config);
-    const core::SearchResult ranged = session.search(*genome);
-
-    for (size_t shards : {1, 3}) {
-        core::RequestOptions request;
-        request.genome = genome;
-        request.config = config;
-
-        core::ShardedSearchService service(manualShards(shards));
-        auto fut = service.trySubmit(guides, request);
-        service.drain();
-        auto merged = fut.get();
-        ASSERT_TRUE(merged.ok()) << merged.error().message();
-        EXPECT_EQ(merged.value().hits, ranged.hits)
-            << shards << " shards seed=" << seed;
-        EXPECT_EQ(merged.value().run.events, ranged.run.events);
     }
 }
 
@@ -284,7 +253,7 @@ TEST(PackedFile, CorruptFilesAreRejected)
 }
 
 // Load-once under contention: concurrent typed loads of one packed
-// ref through one store decode once and share one mapping.
+// ref through one store decode once.
 TEST(GenomeStore, PackedRefLoadsOnceUnderConcurrency)
 {
     const uint64_t seed = test::testSeed(9305);
@@ -315,17 +284,10 @@ TEST(GenomeStore, PackedRefLoadsOnceUnderConcurrency)
     EXPECT_EQ(*loaded[0], original);
     EXPECT_EQ(store.metricsSnapshot().at("store.loads"), 1.0);
     EXPECT_EQ(store.entryCount(), 1u);
-#if defined(__unix__) || defined(__APPLE__)
-    EXPECT_EQ(store.mmapBytes(), fs::file_size(path));
-    // Dropping the entry releases the mmap accounting with it.
-    EXPECT_TRUE(store.erase(ref));
-    EXPECT_EQ(store.mmapBytes(), 0u);
-#endif
 }
 
-// N shard workers naming one packed ref share one physical mapping:
-// store.mmap_bytes stays at one file's worth regardless of shard
-// count, and the serving result matches the in-memory path.
+// A packed ref served on 4 lanes loads once, holds one decoded copy,
+// and matches the in-memory path.
 TEST(ShardedSearchService, PackedGenomeMappedOnceAcrossShards)
 {
     const uint64_t seed = test::testSeed(9306);
@@ -342,23 +304,19 @@ TEST(ShardedSearchService, PackedGenomeMappedOnceAcrossShards)
     request.config.maxMismatches = 2;
     auto fut = service.trySubmit(guides, request);
     service.drain();
-    auto merged = fut.get();
-    ASSERT_TRUE(merged.ok()) << merged.error().message();
+    auto served = fut.get();
+    ASSERT_TRUE(served.ok()) << served.error().message();
 
     core::SearchSession session(guides, request.config);
-    EXPECT_EQ(merged.value().hits, session.search(original).hits)
+    EXPECT_EQ(served.value().hits, session.search(original).hits)
         << "seed=" << seed;
     EXPECT_EQ(service.store().metricsSnapshot().at("store.loads"), 1.0);
-#if defined(__unix__) || defined(__APPLE__)
-    EXPECT_EQ(service.store().mmapBytes(), fs::file_size(path));
-    EXPECT_EQ(service.health().storeMmapBytes, fs::file_size(path));
-#endif
     EXPECT_EQ(service.health().storeBytes, original.size());
 }
 
-// A deadline that cuts the scatter short still gathers: the merged
-// result is ok, flagged timedOut, and its hits are a subset of the
-// full result (each shard contributed its verified prefix).
+// A deadline that cuts the request short still completes it: the
+// result is ok, flagged timedOut and counted as a partial, and its
+// hits are a subset of the full result.
 TEST(ShardedSearchService, DeadlineMidGatherReturnsPartial)
 {
     const uint64_t seed = test::testSeed(9307);
@@ -380,22 +338,22 @@ TEST(ShardedSearchService, DeadlineMidGatherReturnsPartial)
     request.config.deadline = common::Deadline::after(1e-7);
     auto fut = service.trySubmit(guides, request);
     service.drain();
-    auto merged = fut.get();
+    auto served = fut.get();
 
-    ASSERT_TRUE(merged.ok()) << merged.error().message();
-    EXPECT_TRUE(merged.value().timedOut);
+    ASSERT_TRUE(served.ok()) << served.error().message();
+    EXPECT_TRUE(served.value().timedOut);
     EXPECT_EQ(service.partialCount(), 1u);
 
     std::set<core::OffTargetHit> full_hits(full.hits.begin(),
                                            full.hits.end());
-    for (const auto &hit : merged.value().hits)
+    for (const auto &hit : served.value().hits)
         EXPECT_TRUE(full_hits.count(hit))
             << "partial result invented a hit, seed=" << seed;
 }
 
-// Ranked gathers under a deadline cut: the merged top-K over whatever
-// the shards managed is still a valid listing — possibly short, never
-// over K, with no duplicate and no phantom entries, ordered penalty
+// Ranked requests under a deadline cut: the top-K over whatever the
+// lanes managed is still a valid listing — possibly short, never over
+// K, with no duplicate and no phantom entries, ordered penalty
 // descending.
 TEST(ShardedSearchService, RankedDeadlinePartialStaysValid)
 {
@@ -419,26 +377,26 @@ TEST(ShardedSearchService, RankedDeadlinePartialStaysValid)
     request.config.deadline = common::Deadline::after(1e-7);
     auto fut = service.trySubmit(guides, request);
     service.drain();
-    auto merged = fut.get();
+    auto served = fut.get();
 
-    ASSERT_TRUE(merged.ok()) << merged.error().message();
-    EXPECT_TRUE(merged.value().timedOut);
-    EXPECT_TRUE(merged.value().rankedMode);
-    const auto &ranked = merged.value().ranked;
+    ASSERT_TRUE(served.ok()) << served.error().message();
+    EXPECT_TRUE(served.value().timedOut);
+    EXPECT_TRUE(served.value().rankedMode);
+    const auto &ranked = served.value().ranked;
     EXPECT_LE(ranked.size(), 10u);
 
     // No duplicates, no phantoms: every ranked entry is one of the
-    // merged (verified) hits and one of the full result's hits.
+    // served (verified) hits and one of the full result's hits.
     std::set<core::OffTargetHit> unique(ranked.begin(), ranked.end());
     EXPECT_EQ(unique.size(), ranked.size())
         << "duplicate ranked entry, seed=" << seed;
-    std::set<core::OffTargetHit> merged_hits(
-        merged.value().hits.begin(), merged.value().hits.end());
+    std::set<core::OffTargetHit> served_hits(
+        served.value().hits.begin(), served.value().hits.end());
     std::set<core::OffTargetHit> full_hits(full.hits.begin(),
                                            full.hits.end());
     for (const auto &hit : ranked) {
-        EXPECT_TRUE(merged_hits.count(hit))
-            << "ranked entry missing from merged hits, seed=" << seed;
+        EXPECT_TRUE(served_hits.count(hit))
+            << "ranked entry missing from served hits, seed=" << seed;
         EXPECT_TRUE(full_hits.count(hit))
             << "ranked entry is a phantom, seed=" << seed;
     }
@@ -447,13 +405,11 @@ TEST(ShardedSearchService, RankedDeadlinePartialStaysValid)
             << "ranked order violated at " << i << ", seed=" << seed;
 }
 
-// Regression: windowed workers (zero batch window, dispatcher-thread
-// scans) serving many concurrent requests at a high shard count. This
-// is the shape that once deadlocked — a dispatcher mid-scan helping
-// the pool could pick up a gather task whose sub-request was queued
-// behind that same dispatcher (now excluded via TaskOptions::mayBlock
-// — see HelpingWaitsSkipMayBlockTasks in test_executor.cpp). Every
-// future must resolve, bit-identical to serial.
+// A windowed service (zero batch window, dispatcher-thread scans)
+// serving many concurrent requests over two genomes at a high shard
+// count: multi-group dispatch joins pool tasks while each group's scan
+// fans out on the same pool. Every future must resolve, bit-identical
+// to serial.
 TEST(ShardedSearchService, WindowedDispatchUnderLoadCompletes)
 {
     const uint64_t seed = test::testSeed(9309);
@@ -494,9 +450,9 @@ TEST(ShardedSearchService, WindowedDispatchUnderLoadCompletes)
     service.flush();
 }
 
-// Coordinator bookkeeping: error requests are counted and completed,
-// health aggregates the workers, and the metrics snapshot carries the
-// coordinator's shard.* keys plus summed worker service.* keys.
+// Bookkeeping: requests that fail resolution complete with errors and
+// are counted by the one service; the snapshot carries its service.*
+// keys plus shard.count.
 TEST(ShardedSearchService, ErrorsHealthAndMetrics)
 {
     core::ShardedSearchService service(manualShards(2));
@@ -506,7 +462,7 @@ TEST(ShardedSearchService, ErrorsHealthAndMetrics)
         service.trySubmit({core::makeGuide("g", "ACGTACGTACGTACGTACGT")},
                           core::RequestOptions{});
     EXPECT_FALSE(no_genome.get().ok());
-    // Empty guide list: same, without touching a worker.
+    // Empty guide list: same.
     core::RequestOptions request;
     request.genomeRef = core::GenomeRef::memory("absent");
     auto no_guides = service.trySubmit({}, request);
@@ -516,9 +472,7 @@ TEST(ShardedSearchService, ErrorsHealthAndMetrics)
         service.trySubmit({core::makeGuide("g", "ACGTACGTACGTACGTACGT")},
                           request);
     EXPECT_FALSE(absent.get().ok());
-    EXPECT_EQ(service.errorCount(), 3u);
     EXPECT_EQ(service.requestCount(), 3u);
-    EXPECT_EQ(service.gatherCount(), 0u);
 
     const core::ServiceHealth health = service.health();
     EXPECT_TRUE(health.accepting);
@@ -526,8 +480,43 @@ TEST(ShardedSearchService, ErrorsHealthAndMetrics)
 
     const auto metrics = service.metricsSnapshot();
     EXPECT_EQ(metrics.at("shard.count"), 2.0);
-    EXPECT_EQ(metrics.at("shard.requests"), 3.0);
-    EXPECT_EQ(metrics.at("shard.errors"), 3.0);
+    EXPECT_EQ(metrics.at("service.requests"), 3.0);
+}
+
+// The shard count is the service-default lane count: a request that
+// leaves `threads` unset scans on `shards` lanes, and a request's own
+// `threads` still wins.
+TEST(ShardedSearchService, RequestsDefaultToShardLanes)
+{
+    const uint64_t seed = test::testSeed(9311);
+    Rng rng(seed);
+    auto genome = std::make_shared<const genome::Sequence>(
+        test::randomGenome(rng, 12000));
+    auto guides = randomGuides(rng, 1);
+
+    core::ShardedSearchService service(manualShards(4));
+    core::RequestOptions inherit;
+    inherit.genome = genome;
+    inherit.config.chunkSize = 1024;
+    // Drained alone: a batch runs with its earliest member's runtime
+    // options, so coalescing the two would mask the override.
+    auto inherited = service.trySubmit(guides, inherit);
+    service.drain();
+    core::RequestOptions explicit_lanes = inherit;
+    explicit_lanes.config.threads = 2;
+    auto overridden = service.trySubmit(guides, explicit_lanes);
+    service.drain();
+
+    auto inherited_result = inherited.get();
+    ASSERT_TRUE(inherited_result.ok());
+    EXPECT_EQ(inherited_result.value().run.metrics.at("scan.threads"),
+              4.0);
+    auto overridden_result = overridden.get();
+    ASSERT_TRUE(overridden_result.ok());
+    EXPECT_EQ(overridden_result.value().run.metrics.at("scan.threads"),
+              2.0);
+    EXPECT_EQ(inherited_result.value().hits,
+              overridden_result.value().hits);
 }
 
 // The execution-defaults satellite: a request field left at its
