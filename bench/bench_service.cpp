@@ -160,7 +160,7 @@ struct OverloadRow
     double offeredRps = 0.0;
     size_t submitted = 0;
     size_t good = 0;   //!< admitted and completed inside deadline
-    size_t shed = 0;   //!< Error::overloaded (admission / breaker)
+    size_t shed = 0;   //!< Error::overloaded (a queue bound)
     size_t failed = 0; //!< anything else (late, other errors)
     double goodputRps = 0.0;
     double p99Ms = 0.0;
@@ -181,8 +181,6 @@ runOverload(const core::SharedSequence &genome,
     options.maxBatchRequests = 64;
     options.maxQueueRequests = 128;
     options.admissionPolicy = core::AdmissionPolicy::RejectNew;
-    options.pressureHighWatermark = 96;
-    options.pressureLowWatermark = 32;
     core::SearchService service(options);
 
     // ~2 seconds of offered traffic per point, bounded for CI.

@@ -286,16 +286,11 @@ main(int argc, char **argv)
         std::cout << "health: "
                   << (health.ready() ? "ready" : "not ready")
                   << " (queue " << health.queueDepth << " req / "
-                  << formatBytes(health.queuedBytes) << ", est wait "
-                  << strprintf("%.3fs", health.estWaitSeconds)
+                  << formatBytes(health.queuedBytes)
                   << ", executor backlog "
                   << health.executorQueueDepth << ", store "
                   << formatBytes(health.storeBytes) << " in "
-                  << health.storeEntries << " entries"
-                  << (health.pressured ? ", PRESSURED" : "");
-        for (const auto &[engine, state] : health.breakers)
-            std::cout << ", breaker " << engine << "=" << state;
-        std::cout << ")\n";
+                  << health.storeEntries << " entries)\n";
     }
     return 0;
 }

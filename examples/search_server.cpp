@@ -239,16 +239,12 @@ main(int argc, char **argv)
                                                            : "no");
         health_table.row().add("accepting").add(
             health.accepting ? "yes" : "no");
-        health_table.row().add("pressured").add(
-            health.pressured ? "yes" : "no");
         health_table.row()
             .add("queue depth")
             .add(static_cast<uint64_t>(health.queueDepth));
         health_table.row()
             .add("queued bytes")
             .add(static_cast<uint64_t>(health.queuedBytes));
-        health_table.row().add("est wait").add(
-            strprintf("%.3fs", health.estWaitSeconds));
         health_table.row()
             .add("executor backlog")
             .add(static_cast<uint64_t>(health.executorQueueDepth));
@@ -256,10 +252,6 @@ main(int argc, char **argv)
             strprintf("%s in %zu entries",
                       formatBytes(health.storeBytes).c_str(),
                       health.storeEntries));
-        for (const auto &[engine, state] : health.breakers)
-            health_table.row()
-                .add(strprintf("breaker %s", engine.c_str()))
-                .add(state);
         std::cout << health_table.str();
         return health.ready() ? 0 : 1;
     }

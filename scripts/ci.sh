@@ -12,7 +12,8 @@
 # exercise the shared work-stealing pool), prove the
 # -DCRISPR_METRICS=OFF configuration
 # still builds and passes, smoke-test a cold-start-from-database
-# server restart plus the --health readiness probe, and archive a
+# server restart plus the --health readiness probe and an injected
+# batch split driven from the environment, and archive a
 # metrics + trace artifact from the platform explorer plus a
 # serving-throughput row (coalesced vs serial, cold-compile vs
 # database-load, and 1x/2x/4x overload goodput) from bench_service
@@ -90,10 +91,11 @@ run ctest --test-dir build -L database --output-on-failure -j "$jobs" --timeout 
 run ctest --test-dir build-sanitize -L database --output-on-failure \
     -j "$jobs" --timeout 600
 
-# The overload label on both presets: admission control, load
-# shedding, circuit breakers, pressure degradation, and the
+# The overload label on both presets: bounded admission (request and
+# byte bounds, reject-new and drop-oldest, prompt Error::overloaded),
+# failures that stay with the request that caused them, and the
 # bounded-queue chaos soak — the suite that proves the serving layer
-# degrades instead of collapsing.
+# sheds at its one bound instead of collapsing.
 run ctest --test-dir build -L overload --output-on-failure -j "$jobs" --timeout 600
 run ctest --test-dir build-sanitize -L overload --output-on-failure \
     -j "$jobs" --timeout 600
@@ -119,9 +121,10 @@ run ctest --test-dir build-sanitize -L scoring --output-on-failure \
 
 # ThreadSanitizer over every suite that touches the pool: the
 # concurrency tier plus the service (coalescing + soak), fault
-# (retry/fallback under injected failures), overload (admission +
-# breakers under 8-client saturation), and shard (pooled scan lanes
-# under multi-group dispatch + concurrent packed loads) tiers. TSan
+# (retry/fallback under injected failures), overload (bounded
+# admission with drop-oldest shedding under 8-client saturation), and
+# shard (pooled scan lanes under multi-group dispatch + concurrent
+# packed loads) tiers. TSan
 # cannot combine with ASan, so this is its own preset and build tree.
 run cmake --preset tsan
 run cmake --build --preset tsan -j "$jobs"
@@ -164,6 +167,17 @@ grep -q 'service.db_preloaded' build/artifacts/db_smoke_warm.txt
 grep -q 'ready *| *yes' build/artifacts/db_smoke_warm.txt
 ! grep -q 'service.db_preloaded *| *0\.00' \
     build/artifacts/db_smoke_warm.txt
+
+# Batch-split smoke, driven from outside the process: a fault armed
+# through the environment fails the demo server's merged compile, so
+# its one batch must split into serial runs (one split, nothing
+# coalesced) and still serve every request (exit 0, checked by `run`).
+run env CRISPR_FAULTPOINTS="session.compile=once" \
+    ./build/examples/search_server > build/artifacts/batch_split_smoke.txt
+grep -q 'service.batch_splits *| *1\.00' \
+    build/artifacts/batch_split_smoke.txt
+grep -q 'service.coalesced *| *0\.00' \
+    build/artifacts/batch_split_smoke.txt
 
 # Serving-layer throughput row (small shape for CI speed): coalesced
 # vs serial requests/sec plus the cold-compile vs pattern-database

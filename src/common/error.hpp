@@ -41,7 +41,7 @@ enum class ErrorCode : uint8_t
     DeadlineExceeded,  //!< the request's deadline passed
     Cancelled,         //!< the request's token was cancelled
     ResourceExhausted, //!< capacity/memory budget exceeded
-    Overloaded,        //!< shed by admission control / open breaker
+    Overloaded,        //!< shed by admission control (a queue bound)
     FaultInjected,     //!< a faultpoints:: test fault fired
     Internal,          //!< unclassified failure (bug shield)
 };

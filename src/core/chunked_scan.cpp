@@ -34,16 +34,15 @@ scanError(std::exception_ptr ep, const char *engine_name)
     // PanicError and friends are library bugs: let them propagate.
 }
 
+/** Sleep before retry `attempt` (0-based): 1 ms doubling, capped. */
 void
-backoffSleep(unsigned attempt, const ChunkedScanOptions &options)
+backoffSleep(unsigned attempt)
 {
-    double seconds = options.retryBackoffSeconds;
+    double seconds = 0.001;
     for (unsigned i = 0; i < attempt; ++i)
         seconds *= 2.0;
-    seconds = std::min(seconds, options.retryBackoffCapSeconds);
-    if (seconds > 0.0)
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(seconds));
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(std::min(seconds, 0.050)));
 }
 
 } // namespace
@@ -123,7 +122,7 @@ ChunkedScanner::scanChunkLocal(std::span<const uint8_t> window,
             if (attempt >= options_.scanRetries)
                 throw;
             retries.fetch_add(1, std::memory_order_relaxed);
-            backoffSleep(attempt, options_);
+            backoffSleep(attempt);
         }
     }
 }

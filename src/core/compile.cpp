@@ -81,10 +81,8 @@ PatternSet::forwardSpec(uint32_t pattern_id) const
     return spec;
 }
 
-common::Expected<PatternSet>
-tryBuildPatternSet(const std::vector<Guide> &guides, const PamSpec &pam,
-                   int max_mismatches, bool both_strands,
-                   Orientation orientation)
+common::Status
+validateGuideSet(const std::vector<Guide> &guides, int max_mismatches)
 {
     using common::Error;
     using common::ErrorCode;
@@ -105,6 +103,17 @@ tryBuildPatternSet(const std::vector<Guide> &guides, const PamSpec &pam,
     if (static_cast<size_t>(max_mismatches) > glen)
         return Error(ErrorCode::InvalidArgument,
                      "mismatch budget exceeds the guide length");
+    return {};
+}
+
+common::Expected<PatternSet>
+tryBuildPatternSet(const std::vector<Guide> &guides, const PamSpec &pam,
+                   int max_mismatches, bool both_strands,
+                   Orientation orientation)
+{
+    if (auto valid = validateGuideSet(guides, max_mismatches); !valid.ok())
+        return valid.error();
+    const size_t glen = guides.front().protospacer.size();
 
     PatternSet set;
     set.guideLength = glen;

@@ -101,10 +101,18 @@ struct PatternSet
 uint64_t patternSetDigest(const PatternSet &set);
 
 /**
+ * The guide-set checks every compile makes: InvalidArgument for an
+ * empty set, mixed guide lengths, or a mismatch budget outside
+ * [0, guide length]. SearchService runs them at submit, so a request
+ * that cannot compile never joins a batch.
+ */
+common::Status validateGuideSet(const std::vector<Guide> &guides,
+                                int max_mismatches);
+
+/**
  * Compile guides x strands into a pattern set. All guides must share
  * one length. @param both_strands include reverse-strand patterns.
- * @return InvalidArgument for an empty guide set, mixed guide lengths,
- * or a mismatch budget outside [0, guide length].
+ * @return validateGuideSet's error when the set fails its checks.
  */
 common::Expected<PatternSet>
 tryBuildPatternSet(const std::vector<Guide> &guides, const PamSpec &pam,

@@ -113,40 +113,4 @@ autoEngineRanking(const WorkloadShape &shape, uint32_t max_dfa_states,
     return ranking;
 }
 
-EngineKind
-chooseAutoEngine(const WorkloadShape &shape, uint32_t max_dfa_states,
-                 const AutoCalibration &cal)
-{
-    return autoEngineRanking(shape, max_dfa_states, cal).front();
-}
-
-EngineKind
-cheapestViableEngine(const WorkloadShape &shape,
-                     uint32_t max_dfa_states, size_t genomeBytes,
-                     const AutoCalibration &cal)
-{
-    const double bytes = static_cast<double>(genomeBytes);
-    const bool dfa_fits = predictedDfaStates(shape, cal) <=
-                          static_cast<double>(max_dfa_states);
-    EngineKind best = EngineKind::Reference;
-    double best_cost =
-        predictedNsPerSymbol(EngineKind::Reference, shape, cal) * bytes;
-    const double bitparallel_cost =
-        predictedNsPerSymbol(EngineKind::HscanBitParallel, shape, cal) *
-        bytes;
-    if (bitparallel_cost < best_cost) {
-        best = EngineKind::HscanBitParallel;
-        best_cost = bitparallel_cost;
-    }
-    if (dfa_fits) {
-        const double dfa_cost =
-            predictedNsPerSymbol(EngineKind::HscanDfa, shape, cal) *
-                bytes +
-            predictedDfaStates(shape, cal) * cal.dfaCompileNsPerState;
-        if (dfa_cost < best_cost)
-            best = EngineKind::HscanDfa;
-    }
-    return best;
-}
-
 } // namespace crispr::core

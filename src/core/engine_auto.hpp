@@ -23,7 +23,8 @@
  * calibration table and returns the full ranking, so SearchSession can
  * feed it through the existing fallback machinery: a mispredicted DFA
  * (budget exceeded at compile time) degrades to the next choice with
- * no new mechanism.
+ * no new mechanism. autoEngineRanking is the model's only entry point
+ * for engine choice.
  */
 
 #ifndef CRISPR_CORE_ENGINE_AUTO_HPP_
@@ -100,13 +101,6 @@ struct AutoCalibration
     double dfaStatesPerPatternRow = 30.0;
     double dfaGrowthPerMismatch = 5.55;
     double dfaSharingExponent = 0.25;
-    /**
-     * Subset construction + dense-table fill, per produced DFA state.
-     * Only consulted by cheapestViableEngine(): under overload the
-     * compile cost matters because it is paid before the first byte is
-     * scanned, so a small genome should not wait on a big DFA build.
-     */
-    double dfaCompileNsPerState = 2500.0;
 };
 
 /** The measured defaults above. */
@@ -124,28 +118,12 @@ double predictedDfaStates(const WorkloadShape &shape,
  * The full cost-model ranking for a workload, fastest predicted
  * engine first: always all of {HscanDfa, HscanBitParallel, Reference},
  * with a DFA predicted over `max_dfa_states` demoted below
- * BitParallel (it would burn a compile attempt first otherwise).
+ * BitParallel (it would burn a compile attempt first otherwise). The
+ * front is the choice `session.engine_auto.<name>` counts.
  */
 std::vector<EngineKind>
 autoEngineRanking(const WorkloadShape &shape, uint32_t max_dfa_states,
                   const AutoCalibration &cal = defaultAutoCalibration());
-
-/** The ranking's first choice (what `session.engine_auto.*` counts). */
-EngineKind
-chooseAutoEngine(const WorkloadShape &shape, uint32_t max_dfa_states,
-                 const AutoCalibration &cal = defaultAutoCalibration());
-
-/**
- * The cheapest *viable* engine for a one-shot scan of `genomeBytes`,
- * minimising predicted compile + scan cost instead of steady-state
- * ns/symbol. This is the degraded choice SearchService pins
- * engine=auto to under queue pressure: amortising a DFA build over a
- * deep queue is exactly what an overloaded server cannot afford.
- */
-EngineKind
-cheapestViableEngine(const WorkloadShape &shape, uint32_t max_dfa_states,
-                     size_t genomeBytes,
-                     const AutoCalibration &cal = defaultAutoCalibration());
 
 } // namespace crispr::core
 

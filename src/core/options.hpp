@@ -81,11 +81,9 @@ struct ExecutionOptions
 
     /**
      * Per-chunk retries for transient scan failures (exponential
-     * backoff from retryBackoffSeconds, capped). 0 = fail fast.
+     * backoff from 1 ms, capped at 50 ms). 0 = fail fast.
      */
     unsigned scanRetries = 0;
-    double retryBackoffSeconds = 0.001;
-    double retryBackoffCapSeconds = 0.050;
 
     /**
      * Optional trace sink: when set, the search records RAII spans

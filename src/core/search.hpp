@@ -26,7 +26,6 @@
 #include "common/deadline.hpp"
 #include "common/executor.hpp"
 #include "common/trace.hpp"
-#include "core/breaker.hpp"
 #include "core/engines.hpp"
 #include "core/offtarget.hpp"
 #include "core/options.hpp"
@@ -79,9 +78,11 @@ struct RuntimeOptions : ExecutionOptions
     /**
      * Engines tried in order when `engine` fails to compile or scan
      * (the paper's cross-platform degradation: AP down -> same workload
-     * on FPGA/GPU/CPU). Failures are counted per engine and the run's
-     * `session.fallbacks` metric records how many engines failed before
-     * the one that served. Duplicates of `engine` are ignored.
+     * on FPGA/GPU/CPU). Every request walks its own chain: one
+     * request's failure never skips an engine for another. Failures
+     * are counted per engine and the run's `session.fallbacks` metric
+     * records how many engines failed before the one that served.
+     * Duplicates of `engine` are ignored.
      */
     std::vector<EngineKind> fallbacks;
 
@@ -93,17 +94,6 @@ struct RuntimeOptions : ExecutionOptions
      * Streamed searches count the skips in `parse.records_dropped`.
      */
     bool lenientFasta = false;
-
-    /**
-     * Shared per-engine circuit breakers wrapped around the fallback
-     * chain (core/breaker.hpp): an engine whose breaker is open is
-     * skipped without burning a compile/scan attempt. nullptr = the
-     * session makes a private board (breakers still protect repeated
-     * searches on one session, but state dies with it). SearchService
-     * injects its long-lived board here so breaker state survives
-     * across batches.
-     */
-    std::shared_ptr<CircuitBreakerBoard> breakers;
 
     ExecutionOptions &execution() { return *this; }
     const ExecutionOptions &execution() const { return *this; }

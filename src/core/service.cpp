@@ -7,8 +7,6 @@
 
 #include "common/executor.hpp"
 #include "common/logging.hpp"
-#include "common/stopwatch.hpp"
-#include "core/engine_auto.hpp"
 #include "core/pattern_db.hpp"
 #include "core/session.hpp"
 
@@ -20,6 +18,9 @@ using common::ErrorCode;
 using common::Expected;
 
 namespace {
+
+/** Merged guides per scan; an oversized group splits into runs. */
+constexpr size_t kMaxBatchGuides = 4096;
 
 /**
  * The request > service-default > built-in precedence for the shared
@@ -43,11 +44,6 @@ applyDefaultExecution(ExecutionOptions &exec,
         exec.deadline = defaults.deadline;
     if (exec.scanRetries == builtin.scanRetries)
         exec.scanRetries = defaults.scanRetries;
-    if (exec.retryBackoffSeconds == builtin.retryBackoffSeconds)
-        exec.retryBackoffSeconds = defaults.retryBackoffSeconds;
-    if (exec.retryBackoffCapSeconds ==
-        builtin.retryBackoffCapSeconds)
-        exec.retryBackoffCapSeconds = defaults.retryBackoffCapSeconds;
     if (exec.trace == nullptr)
         exec.trace = defaults.trace;
     if (exec.scoreThreshold == builtin.scoreThreshold)
@@ -81,7 +77,6 @@ SearchService::SearchService(ServiceOptions options,
     : options_(options),
       store_(store ? std::move(store)
                    : std::make_shared<GenomeStore>()),
-      breakers_(std::make_shared<CircuitBreakerBoard>(options.breaker)),
       requests_(metrics_.counter("service.requests")),
       batches_(metrics_.counter("service.batches")),
       coalesced_(metrics_.counter("service.coalesced")),
@@ -90,14 +85,9 @@ SearchService::SearchService(ServiceOptions options,
       partials_(metrics_.counter("service.partials")),
       rejected_(metrics_.counter("service.rejected")),
       shed_(metrics_.counter("service.shed")),
-      degraded_(metrics_.counter("service.degraded")),
-      pressureEnters_(metrics_.counter("service.pressure_enters")),
-      pressureExits_(metrics_.counter("service.pressure_exits")),
       batchSize_(metrics_.histogram("service.batch_size")),
-      estWait_(metrics_.histogram("service.est_wait_seconds")),
       queueDepthGauge_(metrics_.gauge("service.queue_depth")),
-      queuedBytesGauge_(metrics_.gauge("service.queued_bytes")),
-      pressureGauge_(metrics_.gauge("service.pressure"))
+      queuedBytesGauge_(metrics_.gauge("service.queued_bytes"))
 {
     if (!options_.databaseDir.empty()) {
         // Pre-warm: pull every persisted compiled state into the
@@ -158,66 +148,11 @@ SearchService::trySubmit(std::vector<Guide> guides,
     return fut;
 }
 
-double
-SearchService::estimateSeconds(const Pending &request) const
-{
-    // Predicted one-pass scan cost from the engine_auto cost model,
-    // scaled by the EWMA of measured-vs-predicted batch times
-    // (observeMeasuredCost). Engines outside the CPU cost model fall
-    // back to the auto ranking's first choice as a proxy — the
-    // estimate only has to be right in magnitude, not exactly.
-    WorkloadShape shape;
-    shape.guideCount = request.guides.size();
-    shape.guideLength = request.guides.front().protospacer.size();
-    shape.pamLength = request.config.pam.size();
-    shape.maxMismatches = request.config.maxMismatches;
-    shape.bothStrands = request.config.bothStrands;
-    const uint32_t max_states =
-        request.config.params.hscanOpts.maxDfaStates;
-
-    EngineKind kind = request.config.engine;
-    if (kind != EngineKind::HscanDfa &&
-        kind != EngineKind::HscanBitParallel &&
-        kind != EngineKind::Reference)
-        kind = chooseAutoEngine(shape, max_states);
-
-    const AutoCalibration cal = defaultAutoCalibration();
-    double seconds = predictedNsPerSymbol(kind, shape, cal) * 1e-9 *
-                     static_cast<double>(request.bytes);
-    const unsigned hw =
-        std::max(1u, std::thread::hardware_concurrency());
-    const unsigned threads =
-        request.config.threads == 0
-            ? hw
-            : std::min<unsigned>(request.config.threads, hw);
-    seconds /= static_cast<double>(threads);
-
-    double scale;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        scale = costScale_;
-    }
-    return seconds * scale;
-}
-
-void
-SearchService::observeMeasuredCost(double predicted, double measured)
-{
-    if (predicted <= 0.0 || measured <= 0.0)
-        return;
-    const double ratio =
-        std::clamp(measured / predicted, 0.05, 20.0);
-    std::lock_guard<std::mutex> lock(mutex_);
-    costScale_ = std::clamp(0.7 * costScale_ + 0.3 * ratio * costScale_,
-                            0.05, 20.0);
-}
-
 std::vector<SearchService::Pending>
 SearchService::takeQueueLocked()
 {
     std::vector<Pending> pending;
     pending.swap(queue_);
-    queuedSeconds_ = 0.0;
     queuedBytes_ = 0;
     queueDepthGauge_.set(0.0);
     queuedBytesGauge_.set(0.0);
@@ -225,27 +160,15 @@ SearchService::takeQueueLocked()
 }
 
 void
-SearchService::updatePressureLocked()
-{
-    if (pressured_.load(std::memory_order_relaxed) &&
-        queue_.size() <= options_.pressureLowWatermark) {
-        pressured_.store(false, std::memory_order_relaxed);
-        pressureGauge_.set(0.0);
-        pressureExits_.inc();
-        inform("service pressure cleared (queue depth %zu <= low "
-               "watermark %zu)",
-               queue_.size(), options_.pressureLowWatermark);
-    }
-}
-
-void
 SearchService::enqueue(std::vector<Guide> guides,
                        RequestOptions options, Completion complete)
 {
     requests_.inc();
-    if (guides.empty()) {
-        complete(Error(ErrorCode::InvalidArgument,
-                       "request has no guides"));
+    // A guide set no engine can compile is refused here, before it can
+    // join a batch and fail the merged compile for its batchmates.
+    if (auto valid = validateGuideSet(guides, options.config.maxMismatches);
+        !valid.ok()) {
+        complete(valid.error());
         return;
     }
 
@@ -264,52 +187,27 @@ SearchService::enqueue(std::vector<Guide> guides,
     pending.config = options.config;
     if (pending.config.databaseDir.empty())
         pending.config.databaseDir = options_.databaseDir;
-    if (!pending.config.breakers)
-        pending.config.breakers = breakers_;
     pending.complete = std::move(complete);
     pending.arrival = std::chrono::steady_clock::now();
     pending.bytes = pending.genome->size();
-    pending.estSeconds = estimateSeconds(pending);
 
     // Decide admission under the lock; run completions (shed victims
     // or the rejected arrival) after releasing it, so a completion
     // callback can never deadlock back into the service.
     std::vector<Pending> evicted;
     bool reject = false;
-    const char *reject_reason = "";
     {
         std::lock_guard<std::mutex> lock(mutex_);
-
-        const double est_wait = queuedSeconds_;
-        estWait_.observe(est_wait);
-
-        // Cost-aware early rejection: a request with a real, not yet
-        // expired deadline that predictably cannot finish behind the
-        // current queue is refused now, before it costs anything.
-        // Already-expired requests are still admitted — they complete
-        // instantly as timed-out at dispatch (deadline semantics stay
-        // per-request and exact).
-        const double remaining =
-            pending.config.deadline.remainingSeconds();
-        if (options_.costAwareAdmission && std::isfinite(remaining) &&
-            !pending.config.deadline.expired() &&
-            est_wait + pending.estSeconds > remaining) {
-            reject = true;
-            reject_reason = "deadline unmeetable at current queue "
-                            "depth";
-        }
-
         const bool over_requests =
             options_.maxQueueRequests > 0 &&
             queue_.size() >= options_.maxQueueRequests;
         const bool over_bytes =
             options_.maxQueueBytes > 0 && !queue_.empty() &&
             queuedBytes_ + pending.bytes > options_.maxQueueBytes;
-        if (!reject && (over_requests || over_bytes)) {
+        if (over_requests || over_bytes) {
             if (options_.admissionPolicy ==
                 AdmissionPolicy::RejectNew) {
                 reject = true;
-                reject_reason = "admission queue full";
             } else {
                 // DropOldest: shed from the front until the arrival
                 // fits (an arrival bigger than the whole byte budget
@@ -323,9 +221,6 @@ SearchService::enqueue(std::vector<Guide> guides,
                              options_.maxQueueBytes))) {
                     Pending victim = std::move(queue_.front());
                     queue_.erase(queue_.begin());
-                    queuedSeconds_ =
-                        std::max(0.0, queuedSeconds_ -
-                                          victim.estSeconds);
                     queuedBytes_ -= victim.bytes;
                     shed_.inc();
                     evicted.push_back(std::move(victim));
@@ -334,25 +229,12 @@ SearchService::enqueue(std::vector<Guide> guides,
         }
 
         if (!reject) {
-            queuedSeconds_ += pending.estSeconds;
             queuedBytes_ += pending.bytes;
             queue_.push_back(std::move(pending));
             queueDepthGauge_.set(
                 static_cast<double>(queue_.size()));
             queuedBytesGauge_.set(
                 static_cast<double>(queuedBytes_));
-            if (options_.pressureHighWatermark > 0 &&
-                !pressured_.load(std::memory_order_relaxed) &&
-                queue_.size() >= options_.pressureHighWatermark) {
-                pressured_.store(true, std::memory_order_relaxed);
-                pressureGauge_.set(1.0);
-                pressureEnters_.inc();
-                inform("service under pressure (queue depth %zu >= "
-                       "high watermark %zu): batch window -> 0, "
-                       "engine=auto pinned cheap",
-                       queue_.size(),
-                       options_.pressureHighWatermark);
-            }
         } else {
             rejected_.inc();
         }
@@ -365,12 +247,8 @@ SearchService::enqueue(std::vector<Guide> guides,
                 .withContext("policy", "drop-oldest"));
     if (reject) {
         pending.complete(
-            Error(ErrorCode::Overloaded, reject_reason)
-                .withContext("policy",
-                             options_.admissionPolicy ==
-                                     AdmissionPolicy::RejectNew
-                                 ? "reject-new"
-                                 : "drop-oldest"));
+            Error(ErrorCode::Overloaded, "admission queue full")
+                .withContext("policy", "reject-new"));
         return;
     }
     cv_.notify_all();
@@ -390,7 +268,6 @@ SearchService::drain()
     {
         std::lock_guard<std::mutex> lock(mutex_);
         --executing_;
-        updatePressureLocked();
     }
     idleCv_.notify_all();
     return count;
@@ -421,9 +298,7 @@ SearchService::loop()
         if (stop_)
             return; // the destructor drains the remainder
         // Hold the window open for ride-alongs, unless the batch
-        // fills, a flush cuts it short, or the service is under
-        // pressure (degraded mode: drain immediately, adding zero
-        // batching latency to an already-backed-up queue).
+        // fills or a flush cuts it short.
         const auto due =
             queue_.front().arrival +
             std::chrono::duration_cast<
@@ -431,7 +306,6 @@ SearchService::loop()
                 std::chrono::duration<double>(
                     options_.batchWindowSeconds));
         while (!stop_ && !flushRequested_ &&
-               !pressured_.load(std::memory_order_relaxed) &&
                queue_.size() < options_.maxBatchRequests &&
                std::chrono::steady_clock::now() < due)
             cv_.wait_until(lock, due);
@@ -443,7 +317,6 @@ SearchService::loop()
         dispatch(std::move(pending));
         lock.lock();
         --executing_;
-        updatePressureLocked();
         idleCv_.notify_all();
     }
 }
@@ -530,7 +403,7 @@ SearchService::executeGroup(std::vector<Pending> group)
     for (Pending &member : live) {
         const size_t n = member.guides.size();
         if (!run.empty() &&
-            run_guides + n > options_.maxBatchGuides) {
+            run_guides + n > kMaxBatchGuides) {
             executeMerged(std::move(run));
             run.clear();
             run_guides = 0;
@@ -681,29 +554,9 @@ SearchService::executeMerged(std::vector<Pending> members)
     config.topK = 0;
     config.scoreThreshold = 0.0;
 
-    // Degraded mode: under pressure an engine=auto batch is pinned to
-    // the cost model's cheapest compile+scan choice for this genome
-    // size — a queue this deep cannot afford to amortise a DFA build.
-    if (config.engine == EngineKind::Auto &&
-        pressured_.load(std::memory_order_relaxed)) {
-        WorkloadShape shape;
-        shape.guideCount = merged.size();
-        shape.guideLength = merged.front().protospacer.size();
-        shape.pamLength = config.pam.size();
-        shape.maxMismatches = config.maxMismatches;
-        shape.bothStrands = config.bothStrands;
-        config.engine = cheapestViableEngine(
-            shape, config.params.hscanOpts.maxDfaStates,
-            members.front().genome->size());
-        degraded_.inc();
-    }
-
-    const Stopwatch batch_timer;
     SearchSession session(merged, config);
     Expected<SearchResult> result =
         session.trySearch(*members.front().genome);
-    observeMeasuredCost(members.front().estSeconds,
-                        batch_timer.seconds());
 
     if (!result.ok()) {
         // The merged run failed (compile or scan, all fallbacks
@@ -780,19 +633,16 @@ SearchService::health() const
         out.queueDepth = queue_.size();
         out.queuedBytes = queuedBytes_;
         out.executingBatches = executing_;
-        out.estWaitSeconds = queuedSeconds_;
         out.accepting =
             (options_.maxQueueRequests == 0 ||
              queue_.size() < options_.maxQueueRequests) &&
             (options_.maxQueueBytes == 0 ||
              queuedBytes_ < options_.maxQueueBytes);
     }
-    out.pressured = pressured_.load(std::memory_order_relaxed);
     out.executorQueueDepth =
         common::Executor::shared().pendingCount();
     out.storeBytes = store_->bytes();
     out.storeEntries = store_->entryCount();
-    out.breakers = breakers_->stateNames();
     return out;
 }
 
@@ -801,7 +651,6 @@ SearchService::metricsSnapshot() const
 {
     std::map<std::string, double> out = metrics_.toMap();
     store_->mergeMetricsInto(out);
-    breakers_->mergeMetricsInto(out);
     // The serving view includes the execution layer it schedules on:
     // executor.tasks/steals/queue_depth/wait_seconds are process-wide.
     common::Executor::shared().mergeMetricsInto(out);

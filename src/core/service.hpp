@@ -37,14 +37,15 @@
  *    merged pattern set is the concatenation of the members' sets, and
  *    hits/events/patterns are filtered and re-indexed per requester.
  *
- * Overload protection (DESIGN.md §12): the admission queue is bounded
- * in requests and bytes with a reject-new / drop-oldest policy, a
- * cost-model estimate rejects deadline-bearing requests that cannot
- * finish in time, sustained backlog flips the service into a
- * hysteresis-gated pressure state (zero batch window, engine=auto
- * pinned to its cheapest viable choice), per-engine circuit breakers
- * guard the fallback chain across batches, and health() exposes the
- * whole picture for readiness probes.
+ * Overload protection (DESIGN.md §12) is one bound: the admission
+ * queue is bounded in requests and bytes, and an arrival past either
+ * bound is resolved by a reject-new / drop-oldest policy — the loser
+ * completes at once with Error::overloaded. A request whose guide set
+ * cannot compile (empty, mixed lengths, budget outside [0, length]) is
+ * refused at submit with ErrorCode::InvalidArgument, so it never joins
+ * (or splits) a batch. Each request walks its own engine chain with
+ * fallbacks; nothing carries one request's failure over to the next.
+ * health() reports the queue for readiness probes.
  *
  * Thread-safety: every public method may be called from any thread.
  */
@@ -52,7 +53,6 @@
 #ifndef CRISPR_CORE_SERVICE_HPP_
 #define CRISPR_CORE_SERVICE_HPP_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -99,17 +99,12 @@ struct ServiceOptions
      * Seconds a batch window stays open after the first pending
      * request arrives (more arrivals ride along). Negative = manual
      * mode: no dispatcher thread runs and requests accumulate until
-     * drain() — the deterministic mode tests and benches use. Under
-     * queue pressure (see pressureHighWatermark) the dispatcher
-     * shrinks the window to zero until the backlog recedes.
+     * drain() — the deterministic mode tests and benches use.
      */
     double batchWindowSeconds = 0.002;
 
     /** Dispatch early once this many requests are pending. */
     size_t maxBatchRequests = 64;
-
-    /** Merged guides per scan; an oversized group splits into runs. */
-    size_t maxBatchGuides = 4096;
 
     /**
      * Admission queue bound in requests (0 = unbounded). An arrival
@@ -128,33 +123,6 @@ struct ServiceOptions
 
     /** Policy at either queue bound. */
     AdmissionPolicy admissionPolicy = AdmissionPolicy::RejectNew;
-
-    /**
-     * Cost-aware early rejection: estimate each arrival's scan cost
-     * (engine_auto cost model x an EWMA of measured-vs-predicted scan
-     * time) plus the estimated wait behind the current queue, and
-     * reject a deadline-bearing request that cannot finish in time
-     * (`service.rejected`) instead of burning a scan that will be
-     * thrown away. Requests that are *already* expired at submit are
-     * still admitted — they complete instantly as timed-out, which is
-     * cheaper than an error path and keeps deadline semantics exact.
-     */
-    bool costAwareAdmission = true;
-
-    /**
-     * Queue depth at which the service enters the degraded "pressure"
-     * state: the batch window collapses to zero and engine=auto
-     * requests are pinned to the cost model's cheapest viable engine
-     * (compile + scan) instead of its steady-state-fastest. 0 = never.
-     * Hysteresis: pressure exits only when the queue drains to
-     * pressureLowWatermark.
-     */
-    size_t pressureHighWatermark = 256;
-    size_t pressureLowWatermark = 64;
-
-    /** Circuit breakers for the per-batch sessions' fallback chains
-     *  (one shared board per service; see core/breaker.hpp). */
-    BreakerOptions breaker;
 
     /**
      * Ahead-of-time pattern database directory (core/pattern_db.hpp).
@@ -177,17 +145,13 @@ struct ServiceHealth
     size_t queueDepth = 0;       //!< admitted requests waiting
     size_t queuedBytes = 0;      //!< their summed genome bytes
     size_t executingBatches = 0; //!< dispatch cycles in flight
-    double estWaitSeconds = 0.0; //!< predicted wait behind the queue
-    bool pressured = false;      //!< degraded mode active
     bool accepting = true;       //!< queue bounds not currently hit
     size_t executorQueueDepth = 0; //!< process-wide pool backlog
     size_t storeBytes = 0;         //!< decoded genome bytes
     size_t storeEntries = 0;
-    /** Engine -> breaker state name ("closed"/"half_open"/"open"). */
-    std::map<std::string, std::string> breakers;
 
-    /** The readiness-probe verdict: accepting and not degraded. */
-    bool ready() const { return accepting && !pressured; }
+    /** The readiness-probe verdict: the queue admits arrivals. */
+    bool ready() const { return accepting; }
 };
 
 /** Per-request options: which genome to scan, and how. */
@@ -251,17 +215,10 @@ class SearchService
     GenomeStore &store() { return *store_; }
     std::shared_ptr<GenomeStore> sharedStore() { return store_; }
 
-    /** The shared per-engine circuit breaker board (never null). */
-    const std::shared_ptr<CircuitBreakerBoard> &
-    breakers() const
-    {
-        return breakers_;
-    }
-
-    /** Point-in-time health snapshot (queue, pressure, breakers). */
+    /** Point-in-time health snapshot (queue, executor, store). */
     ServiceHealth health() const;
 
-    /** Cumulative service.* (+ store.*, breaker, executor) metrics. */
+    /** Cumulative service.* (+ store.*, executor) metrics. */
     std::map<std::string, double> metricsSnapshot() const;
 
     size_t requestCount() const { return requests_.value(); }
@@ -271,12 +228,10 @@ class SearchService
     size_t coalescedCount() const { return coalesced_.value(); }
     /** Merged runs degraded to per-request serial execution. */
     size_t batchSplitCount() const { return batchSplits_.value(); }
-    /** Arrivals refused at admission (bounds or cost model). */
+    /** Arrivals refused at a queue bound (RejectNew). */
     size_t rejectedCount() const { return rejected_.value(); }
     /** Queued requests shed to make room (DropOldest). */
     size_t shedCount() const { return shed_.value(); }
-    /** Batches whose engine=auto was pinned cheap under pressure. */
-    size_t degradedCount() const { return degraded_.value(); }
     /** Requests completed with `timedOut` set: expired before
      *  dispatch, expired by demux, or cut short mid-scan. */
     size_t partialCount() const { return partials_.value(); }
@@ -292,21 +247,14 @@ class SearchService
         SearchConfig config;
         Completion complete;
         std::chrono::steady_clock::time_point arrival;
-        double estSeconds = 0.0; //!< admission-time cost estimate
-        size_t bytes = 0;        //!< genome bytes (queue byte bound)
+        size_t bytes = 0; //!< genome bytes (queue byte bound)
     };
 
     void enqueue(std::vector<Guide> guides, RequestOptions options,
                  Completion complete);
     void loop();
-    /** Predicted scan seconds for one request (cost model x EWMA). */
-    double estimateSeconds(const Pending &request) const;
-    /** Fold a measured batch into the cost-model EWMA scale. */
-    void observeMeasuredCost(double predicted, double measured);
     /** Swap out the whole queue (resets queued-work accounting). */
     std::vector<Pending> takeQueueLocked();
-    /** Re-evaluate the pressure exit watermark after a dispatch. */
-    void updatePressureLocked();
     /** Group by coalescing key and execute each group. */
     void dispatch(std::vector<Pending> pending);
     /** Run one compatible group as one or more merged passes. */
@@ -330,20 +278,15 @@ class SearchService
 
     const ServiceOptions options_;
     std::shared_ptr<GenomeStore> store_;
-    std::shared_ptr<CircuitBreakerBoard> breakers_;
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;     //!< wakes the dispatcher
     std::condition_variable idleCv_; //!< wakes flush()
     std::vector<Pending> queue_;
-    double queuedSeconds_ = 0.0; //!< sum of queued estSeconds
-    size_t queuedBytes_ = 0;     //!< sum of queued genome bytes
-    double costScale_ = 1.0;     //!< EWMA measured / predicted cost
+    size_t queuedBytes_ = 0; //!< sum of queued genome bytes
     size_t executing_ = 0;
     bool stop_ = false;
     bool flushRequested_ = false;
-    /** Degraded mode; atomic so executeMerged reads it lock-free. */
-    std::atomic<bool> pressured_{false};
     std::thread worker_;
 
     mutable common::MetricsRegistry metrics_;
@@ -355,14 +298,9 @@ class SearchService
     common::Counter partials_;
     common::Counter rejected_;
     common::Counter shed_;
-    common::Counter degraded_;
-    common::Counter pressureEnters_;
-    common::Counter pressureExits_;
     common::Histogram batchSize_;
-    common::Histogram estWait_;
     common::Gauge queueDepthGauge_;
     common::Gauge queuedBytesGauge_;
-    common::Gauge pressureGauge_;
 };
 
 } // namespace crispr::core

@@ -51,17 +51,8 @@ SearchSession::SearchSession(std::vector<Guide> guides,
       cacheHits_(metrics_.counter("session.cache_hits")),
       dbHits_(metrics_.counter("session.db_hits")),
       dbMisses_(metrics_.counter("session.db_misses")),
-      dbStoreFailures_(metrics_.counter("session.db_store_failures")),
-      breakers_(config_.breakers
-                    ? config_.breakers
-                    : std::make_shared<CircuitBreakerBoard>())
+      dbStoreFailures_(metrics_.counter("session.db_store_failures"))
 {
-}
-
-CircuitBreakerBoard &
-SearchSession::boardFor(const SearchConfig &config) const
-{
-    return config.breakers ? *config.breakers : *breakers_;
 }
 
 std::string
@@ -215,13 +206,6 @@ SearchSession::recordEngineFailure(const char *name)
     metrics_.counter(std::string("session.failures.") + name).inc();
 }
 
-void
-SearchSession::annotate(EngineRun &run) const
-{
-    metrics_.mergeInto(run.metrics);
-    breakers_->mergeMetricsInto(run.metrics);
-}
-
 namespace {
 
 common::Expected<EngineRun>
@@ -309,23 +293,11 @@ SearchSession::searchChain(const SearchConfig &config,
 {
     common::TraceSpan search_span(config.trace, "search");
     const std::vector<EngineKind> chain = engineChain(config);
-    CircuitBreakerBoard &board = boardFor(config);
     Error last(ErrorCode::Internal, "no engine attempted");
     size_t failed_engines = 0;
 
     for (EngineKind kind : chain) {
         const char *name = engineName(kind);
-        if (!board.admit(name)) {
-            // Breaker open: skip to the next engine without burning a
-            // compile/scan attempt (and without counting a failure —
-            // the engine was never tried).
-            last = Error(ErrorCode::Overloaded,
-                         strprintf("circuit breaker open for %s",
-                                   name))
-                       .withContext("engine", name);
-            ++failed_engines;
-            continue;
-        }
         bool terminal = false;
         auto attempt = [&]() -> common::Expected<SearchResult> {
             const Engine *engine =
@@ -341,13 +313,11 @@ SearchSession::searchChain(const SearchConfig &config,
         };
         common::Expected<SearchResult> result = attempt();
         if (result.ok()) {
-            board.recordSuccess(name);
             finishResult(result.value(), config, failed_engines);
-            annotate(result.value().run);
+            metrics_.mergeInto(result.value().run.metrics);
             return result;
         }
         recordEngineFailure(name);
-        board.recordFailure(name);
         if (terminal)
             return result.error();
         last = result.error();
@@ -520,9 +490,7 @@ SearchSession::engineFailures(EngineKind kind) const
 std::map<std::string, double>
 SearchSession::metricsSnapshot() const
 {
-    std::map<std::string, double> out = metrics_.toMap();
-    breakers_->mergeMetricsInto(out);
-    return out;
+    return metrics_.toMap();
 }
 
 void

@@ -20,8 +20,10 @@
  * engine failure, or config errors — they return a typed
  * common::Error. A config's `fallbacks` list is tried in order when an
  * engine fails to compile or scan (the paper's cross-platform
- * degradation), the `deadline` bounds the scan cooperatively per
- * chunk, and `scanRetries` retries transient chunk failures. The
+ * degradation); every call walks the whole chain afresh, so one
+ * call's failure never skips an engine for the next. The `deadline`
+ * bounds the scan cooperatively per chunk, and `scanRetries` retries
+ * transient chunk failures. The
  * legacy search()/searchStream() wrappers throw the same errors as
  * ErrorException (a FatalError).
  *
@@ -121,23 +123,10 @@ class SearchSession
      * Snapshot of the session's cumulative metrics (session.compiles,
      * session.cache_hits, session.db_hits, session.db_misses,
      * session.db_store_failures, session.db_load_seconds.*,
-     * session.engine_auto.<choice>, session.failures.<name>, and the
-     * breaker board's session.breaker.<engine>.*), as merged into
-     * every run's metric map.
+     * session.engine_auto.<choice>, session.failures.<name>), as merged
+     * into every run's metric map.
      */
     std::map<std::string, double> metricsSnapshot() const;
-
-    /**
-     * The per-engine circuit breaker board guarding this session's
-     * fallback chain: config.breakers when the constructor config
-     * carried one (SearchService's shared board), else a private board
-     * created by the constructor. Never null.
-     */
-    const std::shared_ptr<CircuitBreakerBoard> &
-    breakers() const
-    {
-        return breakers_;
-    }
 
     /** Drop every cached compilation. */
     void clearCache();
@@ -154,10 +143,10 @@ class SearchSession
 
     /**
      * The engine-chain walk behind trySearch and trySearchStream: per
-     * engine of engineChain(config), breaker admit, registry lookup,
-     * compiledFor and `step`; each failure is counted on the breaker
-     * board and in session.failures.<name>. The first success gets
-     * its result metrics, ranked listing and session snapshot.
+     * engine of engineChain(config), registry lookup, compiledFor and
+     * `step`; each failure is counted in session.failures.<name>. The
+     * first success gets its result metrics, ranked listing and
+     * session snapshot.
      */
     common::Expected<SearchResult> searchChain(const SearchConfig &config,
                                                const ScanStep &step);
@@ -180,10 +169,7 @@ class SearchSession
      */
     std::vector<EngineKind>
     engineChain(const SearchConfig &config) const;
-    /** The board serving `config`: its own, else the session's. */
-    CircuitBreakerBoard &boardFor(const SearchConfig &config) const;
     void recordEngineFailure(const char *name);
-    void annotate(EngineRun &run) const;
 
     std::vector<Guide> guides_;
     SearchConfig config_;
@@ -197,7 +183,8 @@ class SearchSession
     /**
      * Session-lifetime observability: the registry is internally
      * synchronized, so counters are bumped without mutex_ and
-     * annotate() merges a snapshot into every run's metric map.
+     * searchChain merges a snapshot into every served run's metric
+     * map.
      */
     mutable common::MetricsRegistry metrics_;
     common::Counter compiles_;
@@ -205,8 +192,6 @@ class SearchSession
     common::Counter dbHits_;
     common::Counter dbMisses_;
     common::Counter dbStoreFailures_;
-
-    std::shared_ptr<CircuitBreakerBoard> breakers_;
 };
 
 } // namespace crispr::core

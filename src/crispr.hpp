@@ -23,6 +23,12 @@
  * built-in — request > service default > built-in. A
  * ShardedSearchService is a service whose `threads` default is its
  * shard count.
+ *
+ * Overload: a service's one overload mechanism is its bounded
+ * admission queue (ServiceOptions::maxQueueRequests / maxQueueBytes
+ * with an AdmissionPolicy); a refused or shed request completes with
+ * Error::overloaded and nothing else sheds. Each request walks its own
+ * engine chain with fallbacks (DESIGN.md §12).
  */
 
 #ifndef CRISPR_CRISPR_HPP_
@@ -72,7 +78,6 @@
 #include "hscan/prefilter.hpp"
 
 // Public search API.
-#include "core/breaker.hpp"
 #include "core/bulge.hpp"
 #include "core/chunked_scan.hpp"
 #include "core/engine.hpp"

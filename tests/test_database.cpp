@@ -419,12 +419,12 @@ TEST(EngineAuto, CostModelRanksAndCountsItsChoice)
     core::WorkloadShape small;
     small.guideCount = 4;
     small.maxMismatches = 1;
-    EXPECT_EQ(core::chooseAutoEngine(small, 1u << 22, scalar_cal),
+    EXPECT_EQ(core::autoEngineRanking(small, 1u << 22, scalar_cal).front(),
               core::EngineKind::HscanDfa);
 
     // Same workload with a starved state budget: DFA is demoted below
     // Shift-Or instead of burning a doomed compile attempt.
-    EXPECT_EQ(core::chooseAutoEngine(small, 8, scalar_cal),
+    EXPECT_EQ(core::autoEngineRanking(small, 8, scalar_cal).front(),
               core::EngineKind::HscanBitParallel);
 
     // A vector Shift-Or tier only ever lowers the bit-parallel
@@ -490,8 +490,8 @@ TEST(EngineAuto, SearchHitsAreBitIdenticalToTheSelectedEngine)
         core::WorkloadShape shape;
         shape.guideCount = c.guides;
         shape.maxMismatches = c.d;
-        const core::EngineKind choice = core::chooseAutoEngine(
-            shape, auto_cfg.params.hscanOpts.maxDfaStates);
+        const core::EngineKind choice = core::autoEngineRanking(
+            shape, auto_cfg.params.hscanOpts.maxDfaStates).front();
         EXPECT_EQ(metrics.at(std::string("session.engine_auto.") +
                              core::engineName(choice)),
                   1.0)

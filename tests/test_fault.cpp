@@ -136,7 +136,6 @@ TEST_F(FaultRecovery, RetriesTransientChunkFault)
     retrying.chunkSize = 1024;
     retrying.threads = 1;
     retrying.scanRetries = 2;
-    retrying.retryBackoffSeconds = 0.0; // keep the test fast
 
     fp::armFailNth("chunk.scan", 2);
     auto got = session.trySearch(w.genome, retrying);
@@ -156,7 +155,6 @@ TEST_F(FaultRecovery, RetryBudgetExhaustionIsTypedNotFatal)
     core::SearchConfig cfg = w.config(core::EngineKind::HscanAuto);
     cfg.chunkSize = 1024;
     cfg.scanRetries = 1;
-    cfg.retryBackoffSeconds = 0.0;
     core::SearchSession session(w.guides, cfg);
 
     // Every attempt of every chunk fails: the retry budget runs out

@@ -1,9 +1,8 @@
-/** @file Overload-protection tests: circuit breakers (unit and wired
- *  into the session fallback chain), SearchService admission control
- *  (request/byte bounds, reject-new vs drop-oldest, cost-aware early
- *  rejection), pressure hysteresis with engine=auto degradation,
- *  health snapshots, deadline-aware GenomeStore loads, pattern-db
- *  store degradation, and a bounded-queue chaos soak. */
+/** @file Overload-protection tests: SearchService admission control
+ *  (request/byte bounds, reject-new vs drop-oldest), failures that stay
+ *  with the request that caused them, health snapshots,
+ *  deadline-aware GenomeStore loads, pattern-db store degradation, and
+ *  a bounded-queue chaos soak. */
 
 #include <atomic>
 #include <chrono>
@@ -17,8 +16,6 @@
 
 #include "common/faultpoints.hpp"
 #include "common/logging.hpp"
-#include "common/metrics.hpp"
-#include "core/breaker.hpp"
 #include "core/service.hpp"
 #include "core/session.hpp"
 #include "test_util.hpp"
@@ -65,181 +62,8 @@ isReady(const std::future<common::Expected<core::SearchResult>> &fut)
 }
 
 // ---------------------------------------------------------------------
-// CircuitBreakerBoard unit transitions (deterministic, no clock games:
-// openSeconds is either huge or zero).
-// ---------------------------------------------------------------------
-
-TEST(CircuitBreaker, OpensAtThresholdAndBlocksWhileCoolingDown)
-{
-    core::BreakerOptions options;
-    options.failureThreshold = 2;
-    options.openSeconds = 3600.0;
-    core::CircuitBreakerBoard board(options);
-
-    EXPECT_TRUE(board.admit("x"));
-    board.recordFailure("x");
-    EXPECT_EQ(board.state("x"),
-              core::CircuitBreakerBoard::State::Closed);
-    EXPECT_TRUE(board.admit("x"));
-    board.recordFailure("x");
-    EXPECT_EQ(board.state("x"),
-              core::CircuitBreakerBoard::State::Open);
-    EXPECT_FALSE(board.admit("x"));
-    EXPECT_FALSE(board.admit("x"));
-
-    const auto metrics = board.metricsSnapshot();
-    EXPECT_EQ(metrics.at("session.breaker.x.open"), 1.0);
-    EXPECT_EQ(metrics.at("session.breaker.x.state"), 2.0);
-    // Other engines are unaffected.
-    EXPECT_TRUE(board.admit("y"));
-}
-
-TEST(CircuitBreaker, HalfOpenAdmitsExactlyOneProbeThenCloses)
-{
-    core::BreakerOptions options;
-    options.failureThreshold = 1;
-    options.openSeconds = 0.0; // the very next request probes
-    core::CircuitBreakerBoard board(options);
-
-    board.recordFailure("x");
-    EXPECT_EQ(board.state("x"),
-              core::CircuitBreakerBoard::State::Open);
-    EXPECT_TRUE(board.admit("x")); // the probe
-    EXPECT_EQ(board.state("x"),
-              core::CircuitBreakerBoard::State::HalfOpen);
-    EXPECT_FALSE(board.admit("x")); // probe already in flight
-    board.recordSuccess("x");
-    EXPECT_EQ(board.state("x"),
-              core::CircuitBreakerBoard::State::Closed);
-    EXPECT_TRUE(board.admit("x"));
-
-    const auto metrics = board.metricsSnapshot();
-    EXPECT_EQ(metrics.at("session.breaker.x.open"), 1.0);
-    EXPECT_EQ(metrics.at("session.breaker.x.half_open"), 1.0);
-    EXPECT_EQ(metrics.at("session.breaker.x.closed"), 1.0);
-    EXPECT_EQ(board.stateNames().at("x"), "closed");
-}
-
-TEST(CircuitBreaker, FailedProbeReopens)
-{
-    core::BreakerOptions options;
-    options.failureThreshold = 1;
-    options.openSeconds = 0.0;
-    core::CircuitBreakerBoard board(options);
-
-    board.recordFailure("x");
-    EXPECT_TRUE(board.admit("x"));
-    board.recordFailure("x"); // probe failed
-    EXPECT_EQ(board.state("x"),
-              core::CircuitBreakerBoard::State::Open);
-    EXPECT_EQ(board.metricsSnapshot().at("session.breaker.x.open"),
-              2.0);
-}
-
-TEST(CircuitBreaker, ThresholdZeroDisablesTheBoard)
-{
-    core::BreakerOptions options;
-    options.failureThreshold = 0;
-    core::CircuitBreakerBoard board(options);
-    for (int i = 0; i < 20; ++i) {
-        board.recordFailure("x");
-        EXPECT_TRUE(board.admit("x"));
-    }
-}
-
-// ---------------------------------------------------------------------
-// The breaker wired into the session fallback chain: a failing engine
-// opens its breaker, later requests on the same board skip it without
-// burning a compile, and a half-open probe re-admits it.
-// ---------------------------------------------------------------------
-
-TEST(SearchSession, OpenBreakerSkipsTheEngineAcrossSessions)
-{
-    Rng rng(test::testSeed(9200));
-    genome::Sequence genome = test::randomGenome(rng, 16000);
-    std::vector<core::Guide> guides = randomGuides(rng, 2);
-
-    core::BreakerOptions breaker;
-    breaker.failureThreshold = 1;
-    breaker.openSeconds = 3600.0; // stays open for the whole test
-    auto board =
-        std::make_shared<core::CircuitBreakerBoard>(breaker);
-
-    core::SearchConfig config;
-    config.maxMismatches = 2;
-    config.engine = core::EngineKind::HscanBitParallel;
-    config.fallbacks = {core::EngineKind::Reference};
-    config.breakers = board;
-    const std::string primary =
-        core::engineName(core::EngineKind::HscanBitParallel);
-
-    // Request 1: the primary's compile fails, the breaker opens, the
-    // fallback serves.
-    common::faultpoints::armFailOnce("session.compile");
-    core::SearchSession first(guides, config);
-    auto served = first.trySearch(genome);
-    common::faultpoints::resetAll();
-    ASSERT_TRUE(served.ok()) << served.error().str();
-    EXPECT_EQ(served.value().run.kind, core::EngineKind::Reference);
-    EXPECT_EQ(served.value().run.metrics.at("session.fallbacks"), 1.0);
-    EXPECT_EQ(board->state(primary),
-              core::CircuitBreakerBoard::State::Open);
-
-    // Request 2 (fresh session, same board, no fault): the open
-    // breaker skips the now-healthy primary without attempting it.
-    core::SearchSession second(guides, config);
-    auto skipped = second.trySearch(genome);
-    ASSERT_TRUE(skipped.ok()) << skipped.error().str();
-    EXPECT_EQ(skipped.value().run.kind, core::EngineKind::Reference);
-    EXPECT_EQ(board->state(primary),
-              core::CircuitBreakerBoard::State::Open);
-    EXPECT_EQ(
-        second.metricsSnapshot().at("session.breaker." + primary +
-                                    ".open"),
-        1.0);
-}
-
-TEST(SearchSession, HalfOpenProbeReadmitsTheRecoveredEngine)
-{
-    Rng rng(test::testSeed(9201));
-    genome::Sequence genome = test::randomGenome(rng, 16000);
-    std::vector<core::Guide> guides = randomGuides(rng, 2);
-
-    core::BreakerOptions breaker;
-    breaker.failureThreshold = 1;
-    breaker.openSeconds = 0.0; // the next request probes immediately
-    auto board =
-        std::make_shared<core::CircuitBreakerBoard>(breaker);
-
-    core::SearchConfig config;
-    config.maxMismatches = 2;
-    config.engine = core::EngineKind::HscanBitParallel;
-    config.fallbacks = {core::EngineKind::Reference};
-    config.breakers = board;
-    const std::string primary =
-        core::engineName(core::EngineKind::HscanBitParallel);
-
-    common::faultpoints::armFailOnce("session.compile");
-    core::SearchSession first(guides, config);
-    ASSERT_TRUE(first.trySearch(genome).ok());
-    common::faultpoints::resetAll();
-    ASSERT_EQ(board->state(primary),
-              core::CircuitBreakerBoard::State::Open);
-
-    // The recovered engine serves its probe and the breaker closes.
-    core::SearchSession second(guides, config);
-    auto probed = second.trySearch(genome);
-    ASSERT_TRUE(probed.ok()) << probed.error().str();
-    EXPECT_EQ(probed.value().run.kind,
-              core::EngineKind::HscanBitParallel);
-    EXPECT_EQ(board->state(primary),
-              core::CircuitBreakerBoard::State::Closed);
-}
-
-// ---------------------------------------------------------------------
-// Admission control: bounded queues, both policies, and the cost-aware
-// early rejection. Shed requests must complete promptly with
-// Error::overloaded and cost zero scan work.
+// Admission control: bounded queues and both policies. Shed requests
+// must complete promptly with Error::overloaded and cost zero scan work.
 // ---------------------------------------------------------------------
 
 TEST(SearchService, RejectNewShedsTheArrivalWithZeroScanWork)
@@ -334,118 +158,52 @@ TEST(SearchService, ByteBoundAdmitsALoneOversizedRequest)
     EXPECT_TRUE(f1.get().ok());
 }
 
-TEST(SearchService, CostAwareAdmissionRejectsUnmeetableDeadlines)
+// ---------------------------------------------------------------------
+// Failures stay with the request that caused them: a request whose own
+// config fails every engine in its chain (a DFA over its state budget)
+// must not refuse the requests after it. Each request walks its own
+// engine chain.
+// ---------------------------------------------------------------------
+
+TEST(SearchService, OverBudgetDfaRequestsDoNotRefuseTheNextRequest)
 {
-    Rng rng(test::testSeed(9213));
-    // Big enough that the cost model predicts milliseconds per scan.
-    auto genome = std::make_shared<const genome::Sequence>(
-        test::randomGenome(rng, 4 << 20));
+    Rng rng(test::testSeed(9250));
+    genome::Sequence seq = test::randomGenome(rng, 20000);
+    const std::vector<core::Guide> guides = randomGuides(rng, 2);
+    genome::Sequence site = guides[0].protospacer;
+    site.append(genome::Sequence::fromString("TGG"));
+    genome::plantSite(seq, 5000, site);
+    auto genome = std::make_shared<const genome::Sequence>(seq);
+
     core::RequestOptions request;
     request.genome = genome;
-    request.config.maxMismatches = 2;
-    request.config.threads = 1;
+    request.config.maxMismatches = 1;
+    request.config.engine = core::EngineKind::HscanDfa;
+    core::RequestOptions starved = request;
+    starved.config.params.hscanOpts.maxDfaStates = 8;
 
     core::SearchService service(manualMode());
+    for (int i = 0; i < 3; ++i) {
+        auto fut = service.trySubmit(guides, starved);
+        service.drain();
+        auto failed = fut.get();
+        ASSERT_FALSE(failed.ok()) << "request " << i;
+        EXPECT_EQ(failed.error().code(), ErrorCode::CompileFailed)
+            << "request " << i << ": " << failed.error().str();
+    }
 
-    // Build a queue whose estimated wait dwarfs a 50 ms deadline.
-    std::vector<std::future<common::Expected<core::SearchResult>>>
-        queued;
-    for (size_t i = 0; i < 32; ++i)
-        queued.push_back(
-            service.trySubmit(randomGuides(rng, 1), request));
-
-    // A fresh deadline the queue cannot meet: rejected at submit,
-    // before costing a scan.
-    core::RequestOptions hurried = request;
-    hurried.config.deadline = Deadline::after(0.05);
-    auto doomed = service.trySubmit(randomGuides(rng, 1), hurried);
-    ASSERT_TRUE(isReady(doomed));
-    auto doomed_result = doomed.get();
-    ASSERT_FALSE(doomed_result.ok());
-    EXPECT_EQ(doomed_result.error().code(), ErrorCode::Overloaded);
-    EXPECT_EQ(service.rejectedCount(), 1u);
-
-    // A generous deadline is admitted.
-    core::RequestOptions patient = request;
-    patient.config.deadline = Deadline::after(600.0);
-    auto admitted = service.trySubmit(randomGuides(rng, 1), patient);
-    EXPECT_FALSE(isReady(admitted));
-
-    // An already-expired deadline is admitted too: it completes as a
-    // prompt timed-out result at dispatch, which keeps deadline
-    // semantics exact (and is cheaper than an error path).
-    core::RequestOptions expired = request;
-    expired.config.deadline = Deadline::after(0.0);
-    auto lapsed = service.trySubmit(randomGuides(rng, 1), expired);
-
+    // The next request fits the default budget and is served on the
+    // engine it named, exactly as a direct search serves it.
+    auto fut = service.trySubmit(guides, request);
     service.drain();
-    auto lapsed_result = lapsed.get();
-    ASSERT_TRUE(lapsed_result.ok());
-    EXPECT_TRUE(lapsed_result.value().timedOut);
-    EXPECT_EQ(lapsed_result.value().run.metrics.at("scan.bytes"), 0.0);
-    EXPECT_TRUE(admitted.get().ok());
-    for (auto &fut : queued)
-        EXPECT_TRUE(fut.get().ok());
-    if (common::kMetricsEnabled) {
-        EXPECT_GE(service.metricsSnapshot().at(
-                      "service.est_wait_seconds.max"),
-                  0.05);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Pressure hysteresis: sustained backlog degrades the service (auto
-// pinned to the cheapest viable engine, window collapsed) and recovery
-// is gated on the low watermark.
-// ---------------------------------------------------------------------
-
-TEST(SearchService, PressurePinsAutoBatchesAndExitsAfterDraining)
-{
-    Rng rng(test::testSeed(9220));
-    auto genome = std::make_shared<const genome::Sequence>(
-        test::randomGenome(rng, 20000));
-    core::RequestOptions request;
-    request.genome = genome;
-    request.config.maxMismatches = 2;
-    request.config.engine = core::EngineKind::Auto;
-
-    core::ServiceOptions options = manualMode();
-    options.pressureHighWatermark = 4;
-    options.pressureLowWatermark = 1;
-    core::SearchService service(options);
-
-    std::vector<std::future<common::Expected<core::SearchResult>>>
-        futures;
-    for (size_t i = 0; i < 4; ++i)
-        futures.push_back(
-            service.trySubmit(randomGuides(rng, 1), request));
-
-    core::ServiceHealth pressured = service.health();
-    EXPECT_TRUE(pressured.pressured);
-    EXPECT_FALSE(pressured.ready());
-    EXPECT_EQ(pressured.queueDepth, 4u);
-    EXPECT_EQ(pressured.queuedBytes, 4u * genome->size());
-    EXPECT_GT(pressured.estWaitSeconds, 0.0);
-
-    // The drained batch runs degraded: engine=auto pinned to the cost
-    // model's cheapest viable choice, results still correct.
-    EXPECT_EQ(service.drain(), 4u);
-    EXPECT_GE(service.degradedCount(), 1u);
-    for (auto &fut : futures) {
-        auto result = fut.get();
-        ASSERT_TRUE(result.ok()) << result.error().str();
-        EXPECT_NE(result.value().run.kind, core::EngineKind::Auto);
-    }
-
-    // Hysteresis: the empty queue is at the low watermark, so the
-    // pressure state cleared with the dispatch.
-    core::ServiceHealth recovered = service.health();
-    EXPECT_FALSE(recovered.pressured);
-    EXPECT_TRUE(recovered.ready());
-    const auto metrics = service.metricsSnapshot();
-    EXPECT_EQ(metrics.at("service.pressure_enters"), 1.0);
-    EXPECT_EQ(metrics.at("service.pressure_exits"), 1.0);
-    EXPECT_EQ(metrics.at("service.pressure"), 0.0);
+    auto served = fut.get();
+    ASSERT_TRUE(served.ok()) << served.error().str();
+    EXPECT_EQ(served.value().run.kind, core::EngineKind::HscanDfa);
+    const core::SearchResult direct =
+        core::search(*genome, guides, request.config);
+    EXPECT_FALSE(direct.hits.empty());
+    EXPECT_EQ(served.value().hits, direct.hits);
+    EXPECT_EQ(service.rejectedCount(), 0u);
 }
 
 TEST(SearchService, HealthSnapshotOnAFreshService)
@@ -454,12 +212,9 @@ TEST(SearchService, HealthSnapshotOnAFreshService)
     const core::ServiceHealth health = service.health();
     EXPECT_TRUE(health.ready());
     EXPECT_TRUE(health.accepting);
-    EXPECT_FALSE(health.pressured);
     EXPECT_EQ(health.queueDepth, 0u);
     EXPECT_EQ(health.queuedBytes, 0u);
-    EXPECT_EQ(health.estWaitSeconds, 0.0);
     EXPECT_EQ(health.executingBatches, 0u);
-    EXPECT_TRUE(health.breakers.empty());
 }
 
 // ---------------------------------------------------------------------
@@ -665,8 +420,6 @@ TEST(SearchService, OverloadSoakShedsCleanlyAndServesBitIdentical)
         options.maxBatchRequests = 8;
         options.maxQueueRequests = 16;
         options.admissionPolicy = core::AdmissionPolicy::DropOldest;
-        options.pressureHighWatermark = 12;
-        options.pressureLowWatermark = 2;
         core::SearchService service(options);
 
         // 8 unpaced clients against a 16-deep queue: offered load far

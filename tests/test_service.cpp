@@ -334,6 +334,70 @@ TEST(SearchService, RejectsRequestsWithoutGuidesOrGenome)
         test::randomGenome(rng, 100));
     auto f2 = service.submit({}, request);
     EXPECT_THROW(f2.get(), common::ErrorException);
+
+    // A guide set that cannot compile (here: mixed guide lengths) is
+    // refused at submit, so it never joins the batch and never splits
+    // it: the good requests still share one pass.
+    request.genome = std::make_shared<const genome::Sequence>(
+        test::randomGenome(rng, 20000));
+    request.config.maxMismatches = 1;
+    std::vector<std::future<common::Expected<core::SearchResult>>> good;
+    for (int i = 0; i < 8; ++i)
+        good.push_back(service.trySubmit(randomGuides(rng, 1), request));
+    std::vector<core::Guide> mixed = randomGuides(rng, 1);
+    mixed.push_back(core::makeGuide("long", "ACGTACGTACGTACGTACGTA"));
+    auto bad = service.trySubmit(mixed, request);
+    ASSERT_EQ(bad.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    auto refused = bad.get();
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.error().code(),
+              common::ErrorCode::InvalidArgument);
+
+    EXPECT_EQ(service.drain(), 8u);
+    for (auto &fut : good) {
+        auto result = fut.get();
+        ASSERT_TRUE(result.ok()) << result.error().str();
+        EXPECT_EQ(result.value().run.metrics.at("service.batch_requests"),
+                  8.0);
+    }
+    EXPECT_EQ(service.batchCount(), 1u);
+    EXPECT_EQ(service.batchSplitCount(), 0u);
+}
+
+// A group over the merged-guide cap (4096) is sliced into consecutive
+// runs, each one genome pass, with every member's hits unchanged.
+TEST(SearchService, GuideCapSlicesAGroupIntoMergedRuns)
+{
+    Rng rng(test::testSeed(9014));
+    genome::Sequence seq = test::randomGenome(rng, 4000);
+    std::vector<std::vector<core::Guide>> guide_sets{
+        randomGuides(rng, 2049), randomGuides(rng, 2049)};
+    for (size_t r = 0; r < guide_sets.size(); ++r) {
+        genome::Sequence site = guide_sets[r][r].protospacer;
+        site.append(genome::Sequence::fromString("AGG"));
+        genome::plantSite(seq, 1000 + 1000 * r, site);
+    }
+    auto genome = std::make_shared<const genome::Sequence>(seq);
+
+    core::RequestOptions request;
+    request.genome = genome;
+    request.config.maxMismatches = 0;
+    request.config.engine = core::EngineKind::HscanBitParallel;
+
+    core::SearchService service(manualMode());
+    std::vector<std::future<core::SearchResult>> futures;
+    for (const auto &guides : guide_sets)
+        futures.push_back(service.submit(guides, request));
+    EXPECT_EQ(service.drain(), 2u);
+    EXPECT_EQ(service.batchCount(), 2u);
+    for (size_t r = 0; r < guide_sets.size(); ++r) {
+        const core::SearchResult served = futures[r].get();
+        const core::SearchResult direct =
+            core::search(*genome, guide_sets[r], request.config);
+        EXPECT_FALSE(direct.hits.empty());
+        EXPECT_EQ(served.hits, direct.hits) << "request " << r;
+    }
 }
 
 TEST(SearchService, GenomePathResolvesThroughTheStore)
